@@ -9,9 +9,7 @@ verification (theorems), constructive search (search) and a CLI (cli).
 from . import arith
 from .criteria import (
     ClosedFormVerdict,
-    alpha_minus_pq,
     audit_params,
-    beta_minus_D,
     closed_form_local,
     membership_closed_form,
 )
@@ -44,12 +42,13 @@ from .selmer import (
     SelmerGroup,
     check_group_closure,
     compute_selmer,
-    selmer_dim,
     to_jsonable,
 )
 from .theorems import (
     THEOREM_IDS,
     TheoremReport,
+    alpha_minus_pq,
+    beta_minus_D,
     index_set_I,
     pi_minus,
     pi_plus,

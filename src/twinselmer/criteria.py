@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import theorems
 from .arith import legendre_symbol
 from .family import (
     INF_PLACE,
@@ -26,6 +25,16 @@ from .family import (
     enumerate_square_classes,
 )
 from .localsolve import local_verdict
+from .theorems import (
+    _alpha_condition,
+    _d_two_adic,
+    _minus_pq_two_adic,
+    _two_adic_unit_case,
+    alpha_minus_pq,  # re-exported: part of the criteria API
+    beta_minus_D,
+    index_set_I,
+    pi_prime,
+)
 
 
 @dataclass(frozen=True)
@@ -44,23 +53,6 @@ def _rule(ok: bool, rule_id: str) -> ClosedFormVerdict:
 
 def _as_value(d) -> int:
     return d.value if isinstance(d, SquareClass) else int(d)
-
-
-def alpha_minus_pq(params: FamilyParams) -> int:
-    """Sum of (1 - (-1|D_i)) * (1 - (-pq|D_i)) over the D primes."""
-    pq = params.p * params.q
-    return sum(
-        (1 - legendre_symbol(-1, Di)) * (1 - legendre_symbol(-pq, Di))
-        for Di in params.d_primes
-    )
-
-
-def beta_minus_D(params: FamilyParams) -> int:
-    """Sum of (1 - (p|D_i)) * (1 - (q|D_i)) over the D primes."""
-    return sum(
-        (1 - legendre_symbol(params.p, Di)) * (1 - legendre_symbol(params.q, Di))
-        for Di in params.d_primes
-    )
 
 
 def _local_c(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
@@ -118,16 +110,6 @@ def _local_c(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
     return _NA
 
 
-def _two_adic_unit_case(Di: int, p: int, q: int, eps: int, dh: int) -> bool:
-    """Mod-8 case split deciding the C' curve of a single D prime at the place 2."""
-    return (
-        Di % 8 == 1
-        or ((1 + eps * p * dh) * (1 + eps * q * dh)) % 16 == 0
-        or (Di % 8 == 3 and p % 4 == 1)
-        or (Di % 8 == 7 and p % 4 == 3)
-    )
-
-
 def _local_cprime(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
     eps, p, q, D = params.epsilon, params.p, params.q, params.D
     Ds = params.d_primes
@@ -161,7 +143,7 @@ def _local_cprime(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
             return _rule(ok, "C':Di:cross")
     if eps == 1 and dv == -p * q:
         if place == 2:
-            return _rule(p % 4 == 3 or (D - p) % 8 in (0, 2), "C':-pq:mod8")
+            return _rule(_minus_pq_two_adic(p, D), "C':-pq:mod8")
         if place in (p, q):
             return _rule(True, "C':-pq:pq")
         if place in Ds:
@@ -172,13 +154,7 @@ def _local_cprime(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
             return _rule(ok, "C':-pq:qr")
     if eps == -1 and dv == D and params.n >= 2:
         if place == 2:
-            ok = (
-                D % 8 == 1
-                or p % 8 in (1, 7)
-                or (D % 8 == 3 and p % 8 == 5)
-                or (D % 8 == 7 and p % 8 == 3)
-            )
-            return _rule(ok, "C':D:mod8")
+            return _rule(_d_two_adic(p, D), "C':D:mod8")
         if place in (p, q):
             return _rule(True, "C':D:pq")
         if place in Ds:
@@ -238,10 +214,7 @@ def _membership_with_rule(params, kind, dv):
             if dv in (1, p * q, -p * D, -q * D):
                 return True, "S:C':rational-point"
             if dv == -p * q:
-                ok = alpha_minus_pq(params) == 0 and (
-                    p % 4 == 3 or (D - p) % 8 in (0, 2)
-                )
-                return ok, "S:C':-pq"
+                return _alpha_condition(params), "S:C':-pq"
             if dv == -D:
                 ok = beta_minus_D(params) == 0 and (
                     D % 8 == 7
@@ -252,7 +225,7 @@ def _membership_with_rule(params, kind, dv):
                 return ok, "S:C':-D"
             if dv in Ds:
                 i = _index_of(params, dv)
-                ok = theorems.pi_prime(params, i) == 0 and i in theorems.index_set_I(params)
+                ok = pi_prime(params, i) == 0 and i in index_set_I(params)
                 return ok, "S:C':Di"
             return None
         # eps == -1
@@ -262,20 +235,14 @@ def _membership_with_rule(params, kind, dv):
             return True, "S:C':rational-point"
         if dv in Ds:
             i = _index_of(params, dv)
-            ok = theorems.pi_prime(params, i) == 0 and i in theorems.index_set_I(params)
+            ok = pi_prime(params, i) == 0 and i in index_set_I(params)
             return ok, "S:C':Di"
         if dv == D and params.n >= 2:
-            two_adic = (
-                D % 8 == 1
-                or p % 8 in (1, 7)
-                or (D % 8 == 3 and p % 8 == 5)
-                or (D % 8 == 7 and p % 8 == 3)
-            )
             odd_ok = all(
                 legendre_symbol(p, Di) == 1 or legendre_symbol(q, Di) == 1
                 for Di in Ds
             )
-            return (two_adic and odd_ok), "S:C':D"
+            return (_d_two_adic(p, D) and odd_ok), "S:C':D"
         return None
     raise ValueError(f"unknown kind {kind!r}")
 

@@ -1,24 +1,23 @@
 """Local solvability oracle for descent quartics d*w^2 = g(z).
 
 The real place is decided exactly by sign analysis of the quadratic in
-s = z^2.  A finite place l is decided by a digit-by-digit search over two
-integral patches (z in Z_l, and t = 1/z with v_l(t) >= 1):
+s = z^2.  A finite place l is decided by one re-centering digit search over
+two integral patches (z in Z_l, and t = 1/z with v_l(t) >= 1).  A node of
+the search writes d*g = l^val * P(y) on the class coordinate = base +
+scale*y, with the content of P divided out, and looks at each residue s of
+y mod l:
 
-  * a node fixes the coordinate mod l^k; once the valuation of d*g is
-    constant on the node's class with at least one determined unit digit
-    (three digits when l = 2), the square class of d*g is constant there,
-    so the node either certifies solvability (valuation even, unit a
-    square) or kills its subtree;
-  * otherwise the node is tested for a liftable root of the quartic
-    (valuation of the value exceeding twice that of the derivative), which
-    certifies a w = 0 point nearby;
-  * otherwise the search refines by one more digit.
-
-For odd l the refinement is done by re-centering, z = s + l*y, dividing
-out the content of the transformed polynomial; units mod l then decide
-immediately and the tree stays narrow even when d*g has large constant
-valuation.  At l = 2 a plain binary residue tree is used (unit classes
-need three digits, and the trees are small).
+  * if P(s) is a unit mod l, d*g has the constant valuation val on the
+    class and its unit is read mod l (mod 8 at l = 2), so the class either
+    certifies solvability (val even, unit a square) or dies.  At l = 2 with
+    val even, the unit is fixed mod 8 only once every non-constant
+    coefficient of P(s + 2y) is 0 mod 8; until then the search refines one
+    more digit with val unchanged;
+  * otherwise the residue is tested for a liftable root of P (valuation of
+    the value exceeding twice that of the derivative), which certifies a
+    w = 0 point nearby;
+  * otherwise the search re-centres, y = s + l*y', divides out the content
+    of the shifted polynomial into val, and descends.
 
 Every subtree dies or certifies at bounded depth because g is separable;
 the hard cap below is generous, and hitting it raises instead of guessing.
@@ -105,18 +104,15 @@ def real_solvable(space: HomogeneousSpace) -> LocalVerdict:
     return LocalVerdict(INF_PLACE, False, None, 0)
 
 
-def _unit_is_square(u: int, l: int) -> bool:
-    if l == 2:
-        return u % 8 == 1
-    return pow(u % l, (l - 1) >> 1, l) == 1
+def _strip_content(coeffs: list[int], l: int) -> tuple[list[int], int]:
+    """Divide out the largest power of l dividing every coefficient; return it too."""
+    content = min(_int_valuation(c, l) for c in coeffs if c != 0)
+    scale_down = l**content
+    return [c // scale_down for c in coeffs], content
 
 
-def _content_valuation(coeffs, l: int) -> int:
-    return min(_int_valuation(c, l) for c in coeffs if c != 0)
-
-
-def _taylor_shift_scale(coeffs: list[int], s: int, l: int) -> list[int]:
-    """Coefficients (ascending) of P(s + l*y) given those of P."""
+def _taylor_shift_scale(coeffs: list[int], s: int, m: int) -> list[int]:
+    """Coefficients (ascending) of P(s + m*y) given those of P."""
     c = list(coeffs)
     n = len(c)
     for i in range(n - 1):
@@ -124,7 +120,7 @@ def _taylor_shift_scale(coeffs: list[int], s: int, l: int) -> list[int]:
             c[j] += s * c[j + 1]
     power = 1
     for j in range(1, n):
-        power *= l
+        power *= m
         c[j] *= power
     return c
 
@@ -148,40 +144,27 @@ class _DigitSearch:
             + _DEPTH_MARGIN
         )
         self.max_depth = 0
-        d = space.d
-        # d*g as ascending coefficient lists for both patches
-        self.patch_coeffs = {
-            1: [d * space.u0, 0, d * space.u2, 0, d * space.u4],
-            2: [d * space.u4, 0, d * space.u2, 0, d * space.u0],
-        }
+        # squares among the units mod l; at l = 2 a unit's class is read mod 8
+        m = 8 if l == 2 else l
+        self.qr = bytearray(m)
+        for x in range(1, m):
+            self.qr[x * x % m] = 1
 
     def run(self) -> dict | None:
-        if self.l == 2:
-            w = self._node_two(1, 0, 0)
-            if w is not None:
-                return w
-            return self._node_two(2, 0, 1)
-        qr = bytearray(self.l)
-        for x in range(1, self.l):
-            qr[x * x % self.l] = 1
-        self.qr = qr
-        for patch, start_k in ((1, 0), (2, 1)):
-            coeffs = list(self.patch_coeffs[patch])
-            if patch == 2:
-                # the patch substitutes t = l*x up front
-                power = 1
-                for j in range(1, len(coeffs)):
-                    power *= self.l
-                    coeffs[j] *= power
-            content = _content_valuation(coeffs, self.l)
-            scale_down = self.l**content
-            coeffs = [c // scale_down for c in coeffs]
-            w = self._descend(patch, coeffs, content, start_k, 0, self.l**start_k)
+        l, space = self.l, self.space
+        d = space.d
+        # d*g in z (patch 1) and, reversed, in t = 1/z with t = l*y (patch 2)
+        patches = (
+            (1, 0, [d * space.u0, 0, d * space.u2, 0, d * space.u4]),
+            (2, 1, [d * space.u4, 0, d * space.u2, 0, d * space.u0]),
+        )
+        for patch, start_k, coeffs in patches:
+            scale = l**start_k
+            coeffs, content = _strip_content(_taylor_shift_scale(coeffs, 0, scale), l)
+            w = self._descend(patch, coeffs, content, start_k, 0, scale)
             if w is not None:
                 return w
         return None
-
-    # ---- odd l: re-centering descent ----
 
     def _descend(self, patch, coeffs, val, k, base, scale):
         """Decide d*g = l^val * P(y) for y in Z_l; coordinate = base + scale*y."""
@@ -194,12 +177,25 @@ class _DigitSearch:
             )
         cmod = [c % l for c in coeffs]
         parity_ok = val % 2 == 0
+        # an odd valuation kills a unit class outright, so only an even one
+        # needs the unit read mod 8 at l = 2
+        read_mod_8 = parity_ok and l == 2
         for s in range(l):
             u = 0
             for c in reversed(cmod):
                 u = (u * s + c) % l
             if u != 0:
-                # unit on the whole class: square class decided
+                # unit on the whole class: its square class is fixed by u
+                if read_mod_8:
+                    # P(s + 2y) = P(s) mod 8 for all y once every non-constant
+                    # coefficient is 0 mod 8; until then, refine one digit
+                    shifted = _taylor_shift_scale(coeffs, s, 2)
+                    if any(c & 7 for c in shifted[1:]):
+                        w = self._descend(patch, shifted, val, k + 1, base + scale * s, scale * 2)
+                        if w is not None:
+                            return w
+                        continue
+                    u = shifted[0] & 7
                 if parity_ok and self.qr[u]:
                     return {
                         "type": "square_class",
@@ -220,10 +216,7 @@ class _DigitSearch:
                     "residue": base + scale * s,
                     "modulus": scale * l,
                 }
-            shifted = _taylor_shift_scale(coeffs, s, l)
-            content = _content_valuation(shifted, l)
-            scale_down = l**content
-            shifted = [c // scale_down for c in shifted]
+            shifted, content = _strip_content(_taylor_shift_scale(coeffs, s, l), l)
             w = self._descend(patch, shifted, val + content, k + 1, base + scale * s, scale * l)
             if w is not None:
                 return w
@@ -234,50 +227,6 @@ class _DigitSearch:
             return _rational_witness(self.space, Fraction(coord), Fraction(0))
         assert coord != 0
         return _rational_witness(self.space, Fraction(1, coord), Fraction(0))
-
-    # ---- l = 2: plain binary residue tree ----
-
-    def _node_two(self, patch, r, k) -> dict | None:
-        if k > self.max_depth:
-            self.max_depth = k
-        coeffs = self.patch_coeffs[patch]
-        Fr = _eval_poly(coeffs, r)
-        if Fr == 0:
-            return self._root_witness(patch, r)
-        v = _int_valuation(Fr, 2)
-        if k - v >= 3:
-            # unit part known mod 8 on the whole class
-            if v % 2 == 0 and (Fr >> v) % 8 == 1:
-                return {
-                    "type": "square_class",
-                    "patch": patch,
-                    "residue": r,
-                    "modulus": 1 << k,
-                    "valuation": v,
-                }
-            return None
-        gr = self.space.g(r) if patch == 1 else _eval_poly([self.space.u4, 0, self.space.u2, 0, self.space.u0], r)
-        gd = (
-            self.space.g_deriv(r)
-            if patch == 1
-            else (4 * self.space.u0 * r * r + 2 * self.space.u2) * r
-        )
-        if gr != 0 and gd != 0 and _int_valuation(gr, 2) > 2 * _int_valuation(gd, 2):
-            return {
-                "type": "hensel_root",
-                "patch": patch,
-                "residue": r,
-                "modulus": 1 << k,
-            }
-        if k >= self.cap:
-            raise OracleUndecidedError(
-                f"depth cap {self.cap} exceeded at l=2 on {self.space}"
-            )
-        step = 1 << k
-        w = self._node_two(patch, r, k + 1)
-        if w is not None:
-            return w
-        return self._node_two(patch, r + step, k + 1)
 
 
 def padic_solvable(space: HomogeneousSpace, l: int) -> LocalVerdict:

@@ -111,12 +111,6 @@ def compute_selmer(params: FamilyParams, kind: str) -> SelmerGroup:
     return SelmerGroup(kind, params, tuple(members), basis, dim2, table)
 
 
-def selmer_dim(group: SelmerGroup) -> int:
-    """log2 of the group order; equals the basis length."""
-    assert group.order == 1 << group.dim2
-    return group.dim2
-
-
 def _jsonable_witness(witness: dict | None):
     if witness is None:
         return None

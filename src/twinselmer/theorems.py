@@ -5,6 +5,9 @@ Legendre symbols) with a claim about the two descent Selmer groups: a
 dimension lower bound with explicit witnesses, an exact order, or the
 rank-plus-obstruction sum dim2(phi) + dim2(phi_hat) - 2.  Verification
 computes the groups with the generic oracle and compares.
+
+The counting functions and mod-8 predicates defined here are also the
+building blocks of the closed-form rules in criteria, which imports them.
 """
 
 from __future__ import annotations
@@ -71,21 +74,56 @@ def pi_prime(params: FamilyParams, i: int, sign: int | None = None) -> int:
     return first + rest
 
 
+def alpha_minus_pq(params: FamilyParams) -> int:
+    """Sum of (1 - (-1|D_i)) * (1 - (-pq|D_i)) over the D primes."""
+    pq = params.p * params.q
+    return sum(
+        (1 - legendre_symbol(-1, Di)) * (1 - legendre_symbol(-pq, Di))
+        for Di in params.d_primes
+    )
+
+
+def beta_minus_D(params: FamilyParams) -> int:
+    """Sum of (1 - (p|D_i)) * (1 - (q|D_i)) over the D primes."""
+    return sum(
+        (1 - legendre_symbol(params.p, Di)) * (1 - legendre_symbol(params.q, Di))
+        for Di in params.d_primes
+    )
+
+
+def _two_adic_unit_case(Di: int, p: int, q: int, eps: int, dh: int) -> bool:
+    """Mod-8 case split deciding the C' curve of a single D prime at the place 2."""
+    return (
+        Di % 8 == 1
+        or ((1 + eps * p * dh) * (1 + eps * q * dh)) % 16 == 0
+        or (Di % 8 == 3 and p % 4 == 1)
+        or (Di % 8 == 7 and p % 4 == 3)
+    )
+
+
+def _minus_pq_two_adic(p: int, D: int) -> bool:
+    """Mod-8 condition for the C' curve of d = -pq (epsilon = +1) at the place 2."""
+    return p % 4 == 3 or (D - p) % 8 in (0, 2)
+
+
+def _d_two_adic(p: int, D: int) -> bool:
+    """Mod-8 condition for the C' curve of d = D (epsilon = -1, n >= 2) at the place 2."""
+    return (
+        D % 8 == 1
+        or p % 8 in (1, 7)
+        or (D % 8 == 3 and p % 8 == 5)
+        or (D % 8 == 7 and p % 8 == 3)
+    )
+
+
 def index_set_I(params: FamilyParams, sign: int | None = None) -> frozenset[int]:
-    """Indices whose single-prime curve passes the place 2 (union of four clauses)."""
+    """Indices whose single-prime curve passes the place 2."""
     s = params.epsilon if sign is None else sign
-    p = params.p
-    out = set()
-    for i, Di in enumerate(params.d_primes, 1):
-        dh = params.dhat(i)
-        if (
-            Di % 8 == 1
-            or ((1 + s * p * dh) * (1 + s * params.q * dh)) % 16 == 0
-            or (Di % 8 == 3 and p % 4 == 1)
-            or (Di % 8 == 7 and p % 4 == 3)
-        ):
-            out.add(i)
-    return frozenset(out)
+    return frozenset(
+        i
+        for i, Di in enumerate(params.d_primes, 1)
+        if _two_adic_unit_case(Di, params.p, params.q, s, params.dhat(i))
+    )
 
 
 def rho_prime(params: FamilyParams, sign: int | None = None) -> int:
@@ -163,11 +201,7 @@ def _rank_sha_sum(gphi: SelmerGroup, ghat: SelmerGroup) -> int:
 
 
 def _alpha_condition(params: FamilyParams) -> bool:
-    from .criteria import alpha_minus_pq  # deferred: criteria imports this module
-
-    return alpha_minus_pq(params) == 0 and (
-        params.p % 4 == 3 or (params.D - params.p) % 8 in (0, 2)
-    )
+    return alpha_minus_pq(params) == 0 and _minus_pq_two_adic(params.p, params.D)
 
 
 def _prime_curves_pass_two(params: FamilyParams) -> bool:
@@ -229,7 +263,7 @@ def _exact_order(kind, power_shift):
     return run
 
 
-def _run_1_3(params, groups):
+def _run_rho_prime(params, groups):
     g = groups(PHI_HAT)
     rp = rho_prime(params)
     I = index_set_I(params)
@@ -336,22 +370,6 @@ def _run_1_7a(params, groups):
     )
 
 
-def _run_1_8(params, groups):
-    g = groups(PHI_HAT)
-    rp = rho_prime(params)
-    I = index_set_I(params)
-    witnesses = [
-        params.d_primes[i - 1] for i in sorted(I) if pi_prime(params, i) == 0
-    ]
-    ok = g.dim2 >= rp and all(g.contains_value(w) for w in witnesses)
-    return (
-        f"dim2(phi_hat) >= {rp} with witnesses {witnesses}",
-        {"dim_phi_hat": g.dim2, "rho_prime": rp, "witnesses": witnesses},
-        ok,
-        None,
-    )
-
-
 def _hyp_1_2a(params):
     return (
         all(Di % 4 == 1 for Di in params.d_primes)
@@ -426,7 +444,7 @@ _CLAIMS: dict[str, _Claim] = {
     "1.2A": _Claim(1, _hyp_1_2a, _run_1_2a),
     "1.2B": _Claim(1, _hyp_1_2b, _exact_order(PHI, 0)),
     "1.2C": _Claim(1, _hyp_1_2c, _exact_order(PHI, 1)),
-    "1.3": _Claim(1, lambda params: True, _run_1_3),
+    "1.3": _Claim(1, lambda params: True, _run_rho_prime),
     "1.4": _Claim(1, _prime_curves_pass_two, _run_1_4),
     "1.4ex": _Claim(1, _hyp_1_4ex, _exact_order(PHI_HAT, 3)),
     "1.5A": _Claim(1, _hyp_1_5a, _run_1_5a),
@@ -434,7 +452,7 @@ _CLAIMS: dict[str, _Claim] = {
     "1.6": _Claim(-1, lambda params: True, _run_1_6),
     "1.7A": _Claim(-1, _hyp_1_7a, _run_1_7a),
     "1.7B": _Claim(-1, _hyp_1_7b, _exact_order(PHI, 1)),
-    "1.8": _Claim(-1, lambda params: True, _run_1_8),
+    "1.8": _Claim(-1, lambda params: True, _run_rho_prime),
     "1.9": _Claim(-1, _prime_curves_pass_two, _exact_order(PHI_HAT, 2)),
     "1.9ex": _Claim(-1, _hyp_1_9ex, _exact_order(PHI_HAT, 2)),
     "1.10A": _Claim(-1, _hyp_1_10a, _both_exact(0, 2, 0)),

@@ -1,5 +1,6 @@
 """Local oracle tests: real sign analysis, p-adic digit search, witnesses."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -77,29 +78,53 @@ def test_square_class_qp():
     assert square_class_qp(Fraction(9, 4), 2).valuation == -2
 
 
+def _check_square_class_certificate(space, l, w):
+    # recompute the value at lifts of the certified residue and confirm the
+    # square class holds on the whole certified class, not just at the residue
+    for j in range(8):
+        r = w["residue"] + j * w["modulus"]
+        value = space.g(r) * space.d if w["patch"] == 1 else (
+            space.d * (space.u0 * r**4 + space.u2 * r**2 + space.u4)
+        )
+        got = square_class_qp(value, l)
+        assert got.valuation == w["valuation"] and got.is_square, (space, l, w, r)
+
+
 def test_square_class_certificates_check_out():
-    # recompute the certified residue's value and confirm the square class
     params = validate_params(1, 3, 5, [7, 11])
     for d in (7, 11, 77, -77, 2):
         space = build_space(params, d, KIND_C)
-        for l in (3, 5, 7, 11):
+        for l in (2, 3, 5, 7, 11):
             verdict = padic_solvable(space, l)
             if verdict.solvable and verdict.witness["type"] == "square_class":
-                w = verdict.witness
-                r = w["residue"]
-                value = space.g(r) * space.d if w["patch"] == 1 else (
-                    space.d * (space.u0 * r**4 + space.u2 * r**2 + space.u4)
-                )
-                got = square_class_qp(value, l)
-                assert got.valuation == w["valuation"] and got.is_square
+                _check_square_class_certificate(space, l, verdict.witness)
+
+
+def test_two_adic_generic_quartics_match_bruteforce():
+    # the family quartics never leave a unit undetermined mod 8 after one
+    # digit; generic even quartics do, and exercise the mod-8 refinement
+    grid = itertools.product((1, 3, 5, 7, -1, 2, 6), (1, 3, 5, 2, 4, 12), (0, 1, 2, 3, 6), (1, 3, 5, 2, 4))
+    for d, u0, u2, u4 in grid:
+        space = HomogeneousSpace(KIND_C, d, u4, u2, u0)
+        if space.disc() == 0:
+            continue
+        verdict = padic_solvable(space, 2)
+        assert verdict.solvable == brute_padic_solvable(space, 2), space
+        if verdict.solvable and verdict.witness["type"] == "square_class":
+            _check_square_class_certificate(space, 2, verdict.witness)
 
 
 def test_oracle_matches_bruteforce_small():
-    for params in random_instances(seed=1001, count=4, prime_bound=50):
+    small = random_instances(seed=1001, count=4, prime_bound=50)
+    cases = [(params, params.places()[1:]) for params in small]
+    # the brute force is cheap at l = 2, so that place also gets larger instances
+    wide = random_instances(seed=1003, count=6, prime_bound=400, max_n=4)
+    cases += [(params, (2,)) for params in wide]
+    for params, places in cases:
         for kind in (KIND_C, KIND_CPRIME):
             for cls in enumerate_square_classes(params):
                 space = build_space(params, cls, kind)
-                for place in params.places()[1:]:
+                for place in places:
                     assert (
                         padic_solvable(space, place).solvable
                         == brute_padic_solvable(space, place)
@@ -137,7 +162,10 @@ def test_unsolvable_records_depth():
     params = validate_params(1, 3, 5, [7])
     verdict = padic_solvable(build_space(params, 2, KIND_C), 2)
     assert not verdict.solvable and verdict.witness is None
-    assert verdict.search_depth >= 3
+    # an exhausted search reaches depth >= 2: both patches are searched and
+    # patch 2 starts one digit deep
+    assert verdict.search_depth >= 2
+    assert verdict.search_depth == 2  # the depth this engine reaches
 
 
 def test_padic_rejects_bad_prime():
