@@ -32,8 +32,7 @@ from .theorems import (
     _two_adic_unit_case,
     alpha_minus_pq,  # re-exported: part of the criteria API
     beta_minus_D,
-    index_set_I,
-    pi_prime,
+    prime_curve_indices,
 )
 
 
@@ -83,30 +82,21 @@ def _local_c(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
             return _rule((D * (-D + 2 * p + 2)) % 16 == 3, "C:-2:mod16")
         if place in odd_bad:
             return _rule(legendre_symbol(-2, place) == 1, "C:-2:qr")
-    if dv in Ds:
-        Di, dh = dv, D // dv
+    if dv in Ds or (eps == -1 and -dv in Ds):
+        # one rule in the signed value: D_i, or -D_i when eps = -1
+        Di = abs(dv)
+        s, dh = (eps if dv > 0 else -eps), D // Di
+        tag = "C:Di" if dv > 0 else "C:-Di"
         if place == 2:
-            return _rule(Di % 4 == 1, "C:Di:mod4")
+            return _rule(dv % 4 == 1, f"{tag}:mod4")
         if place == Di:
             ok = (
-                legendre_symbol(eps * p * dh, Di) == 1
-                and legendre_symbol(eps * q * dh, Di) == 1
+                legendre_symbol(s * p * dh, Di) == 1
+                and legendre_symbol(s * q * dh, Di) == 1
             )
-            return _rule(ok, "C:Di:self")
+            return _rule(ok, f"{tag}:self")
         if place in odd_bad:
-            return _rule(legendre_symbol(Di, place) == 1, "C:Di:qr")
-    if eps == -1 and -dv in Ds:
-        Di, dh = -dv, D // -dv
-        if place == 2:
-            return _rule(Di % 4 == 3, "C:-Di:mod4")
-        if place == Di:
-            ok = (
-                legendre_symbol(p * dh, Di) == 1
-                and legendre_symbol(q * dh, Di) == 1
-            )
-            return _rule(ok, "C:-Di:self")
-        if place in odd_bad:
-            return _rule(legendre_symbol(-Di, place) == 1, "C:-Di:qr")
+            return _rule(legendre_symbol(dv, place) == 1, f"{tag}:qr")
     return _NA
 
 
@@ -208,6 +198,8 @@ def _membership_with_rule(params, kind, dv):
             return (Di % 4 == 3 and symbols_ok), "S:C:-Di"
         return None
     if kind in (PHI_HAT, KIND_CPRIME):
+        if dv in Ds:
+            return _index_of(params, dv) in prime_curve_indices(params), "S:C':Di"
         if eps == 1:
             if dv % 2 == 0:
                 return False, "S:C':excluded"
@@ -223,20 +215,12 @@ def _membership_with_rule(params, kind, dv):
                     or (D % 8 == 5 and p % 8 == 5)
                 )
                 return ok, "S:C':-D"
-            if dv in Ds:
-                i = _index_of(params, dv)
-                ok = pi_prime(params, i) == 0 and i in index_set_I(params)
-                return ok, "S:C':Di"
             return None
         # eps == -1
         if dv % 2 == 0 or dv < 0:
             return False, "S:C':excluded"
         if dv in (1, p * q, p * D, q * D):
             return True, "S:C':rational-point"
-        if dv in Ds:
-            i = _index_of(params, dv)
-            ok = pi_prime(params, i) == 0 and i in index_set_I(params)
-            return ok, "S:C':Di"
         if dv == D and params.n >= 2:
             odd_ok = all(
                 legendre_symbol(p, Di) == 1 or legendre_symbol(q, Di) == 1

@@ -118,9 +118,6 @@ class SquareClass:
             raise ValueError("square classes live on different bases")
         return SquareClass(self.bits ^ other.bits, self.basis)
 
-    def is_identity(self) -> bool:
-        return self.bits == 0
-
     def __str__(self) -> str:
         return str(self.value)
 
@@ -168,17 +165,10 @@ class HomogeneousSpace:
         z2 = z * z
         return (self.u4 * z2 + self.u2) * z2 + self.u0
 
-    def g_deriv(self, z):
-        return (4 * self.u4 * z * z + 2 * self.u2) * z
-
     def disc(self) -> int:
         # discriminant of the even quartic a*z^4 + b*z^2 + c
         a, b, c = self.u4, self.u2, self.u0
         return 16 * a * c * (4 * a * c - b * b) ** 2
-
-    def reciprocal_coeffs(self) -> tuple[int, int, int]:
-        """Coefficients of t^4*g(1/t), the patch at z = 1/t."""
-        return (self.u0, self.u2, self.u4)
 
 
 def build_space(params: FamilyParams, d, kind: str) -> HomogeneousSpace:

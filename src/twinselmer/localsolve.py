@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .arith import _int_valuation, padic_valuation, unit_square_class
 from .family import INF_PLACE, HomogeneousSpace
@@ -64,15 +63,6 @@ def square_class_qp(x: int | Fraction, l: int) -> QlSquareClass:
     return QlSquareClass(v, cls.tag, v % 2 == 0 and cls.is_square)
 
 
-def _rational_square_root(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _rational_witness(space: HomogeneousSpace, z: Fraction, w: Fraction) -> dict:
     assert space.d * w * w == space.g(z), "witness must satisfy the curve exactly"
     return {"type": "rational", "z": z, "w": w}
@@ -85,14 +75,6 @@ def real_solvable(space: HomogeneousSpace) -> LocalVerdict:
     minimum of the s-quadratic over s = z^2 >= 0 decides.
     """
     d = space.d
-    # cheap exact points first, so visible rational points become witnesses
-    for z in (0, 1, -1):
-        gz = space.g(z)
-        if gz == 0:
-            return LocalVerdict(INF_PLACE, True, _rational_witness(space, Fraction(z), Fraction(0)), 0)
-        w = _rational_square_root(Fraction(gz, d))
-        if w is not None:
-            return LocalVerdict(INF_PLACE, True, _rational_witness(space, Fraction(z), w), 0)
     if d > 0:
         return LocalVerdict(INF_PLACE, True, {"type": "real_sign", "s": Fraction(0)}, 0)
     # d < 0: need g(s) <= 0 somewhere on s >= 0; vertex must be right of 0

@@ -1,20 +1,26 @@
 """Constructive instance search: sieve for catalog hypotheses, stack primes for large groups.
 
-Candidates are scanned smallest-first and deterministically: twin pairs
-ascending, then D primes by backtracking over an ascending pool.  Every hit
-is revalidated through verify_theorem before it is returned.
+The sieve reads the hypothesis table theorems.CONSTRAINTS, the same entries
+verify_theorem checks: p first, then each D prime of the pool, then each
+chosen set.  Candidates are scanned smallest-first and deterministically:
+twin pairs ascending, then D primes by backtracking over an ascending pool,
+pruned pairwise where the entry asks for it.  Every hit is revalidated
+through verify_theorem before it is returned.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import legendre_symbol, primes_up_to, twin_pairs_up_to
 from .family import PHI, PHI_HAT, FamilyParams, validate_params
 from .selmer import compute_selmer
-from .theorems import verify_theorem
+from .theorems import (
+    CONSTRAINTS,
+    ConstraintSet,  # re-exported: part of the search API
+    verify_theorem,
+)
 
 _TWIN_LIMIT = 10**6
 
@@ -35,66 +41,6 @@ class _Deadline:
         return max(0.0, self.seconds - (time.monotonic() - self.start))
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Sieving constraints extracted from one catalog entry's hypotheses."""
-
-    epsilon: int
-    theorem_id: str
-    p_mod8: tuple[int, ...] | None = None
-    d_mod: tuple[int, tuple[int, ...]] | None = None  # (modulus, allowed) for every D_i
-    d_mod8_exists: tuple[int, ...] | None = None  # some D_i must land here mod 8
-    symbol_rule: str | None = None  # "d-qr" | "pq-qr" | "opposite"
-    pairwise_one: bool = False
-    d_mod8_by_p: tuple[tuple[int, tuple[int, ...]], ...] | None = None
-    p_minus_d_mod8: tuple[int, ...] | None = None
-
-
-CONSTRAINTS: dict[str, ConstraintSet] = {
-    "1.2A": ConstraintSet(1, "1.2A", d_mod=(4, (1,)), symbol_rule="d-qr", pairwise_one=True),
-    "1.2B": ConstraintSet(
-        1, "1.2B", d_mod=(4, (1,)), d_mod8_exists=(5,), symbol_rule="d-qr", pairwise_one=True
-    ),
-    "1.2C": ConstraintSet(
-        1, "1.2C", p_mod8=(7,), d_mod=(8, (1,)), symbol_rule="d-qr", pairwise_one=True
-    ),
-    "1.4ex": ConstraintSet(1, "1.4ex", p_mod8=(3, 7), d_mod=(8, (1,)), symbol_rule="opposite"),
-    "1.5A": ConstraintSet(
-        1,
-        "1.5A",
-        d_mod=(4, (1,)),
-        d_mod8_exists=(5,),
-        symbol_rule="d-qr",
-        pairwise_one=True,
-        p_minus_d_mod8=(0, 2),
-    ),
-    "1.5B": ConstraintSet(
-        1, "1.5B", p_mod8=(7,), d_mod=(8, (1,)), symbol_rule="d-qr", pairwise_one=True
-    ),
-    "1.7A": ConstraintSet(-1, "1.7A", symbol_rule="pq-qr", pairwise_one=True),
-    "1.7B": ConstraintSet(
-        -1,
-        "1.7B",
-        symbol_rule="pq-qr",
-        pairwise_one=True,
-        d_mod8_by_p=((7, (1, 7)), (1, (1, 3))),
-    ),
-    "1.9ex": ConstraintSet(-1, "1.9ex", d_mod=(8, (1,)), symbol_rule="opposite"),
-    "1.10A": ConstraintSet(
-        -1,
-        "1.10A",
-        d_mod=(4, (1,)),
-        d_mod8_exists=(5,),
-        symbol_rule="d-qr",
-        pairwise_one=True,
-        p_minus_d_mod8=(2, 4),
-    ),
-    "1.10B": ConstraintSet(
-        -1, "1.10B", p_mod8=(1, 7), d_mod=(8, (1,)), symbol_rule="pq-qr", pairwise_one=True
-    ),
-}
-
-
 @lru_cache(maxsize=4)
 def _twin_table(limit: int) -> tuple[tuple[int, int], ...]:
     return tuple(twin_pairs_up_to(limit))
@@ -103,18 +49,6 @@ def _twin_table(limit: int) -> tuple[tuple[int, int], ...]:
 def _note(progress, msg: str) -> None:
     if progress is not None:
         progress(msg)
-
-
-def _symbols_ok(cand: int, p: int, q: int, rule: str | None) -> bool:
-    if rule is None:
-        return True
-    if rule == "d-qr":
-        return legendre_symbol(cand, p) == 1 and legendre_symbol(cand, q) == 1
-    if rule == "pq-qr":
-        return legendre_symbol(p, cand) == 1 and legendre_symbol(q, cand) == 1
-    if rule == "opposite":
-        return legendre_symbol(cand, p) + legendre_symbol(cand, q) == 0
-    raise ValueError(f"unknown symbol rule {rule!r}")
 
 
 def _pair_ok(a: int, b: int) -> bool:
@@ -162,25 +96,9 @@ def find_family(
         if deadline.expired():
             _note(progress, f"time budget exhausted after {tested} candidate sets")
             return None
-        if cs.p_mod8 is not None and p % 8 not in cs.p_mod8:
+        if not cs.p_ok(p):
             continue
-        allowed8 = None
-        if cs.d_mod8_by_p is not None:
-            table = dict(cs.d_mod8_by_p)
-            if p % 8 not in table:
-                continue
-            allowed8 = table[p % 8]
-        pool = []
-        for r in base_pool:
-            if r in (p, q):
-                continue
-            if cs.d_mod is not None and r % cs.d_mod[0] not in cs.d_mod[1]:
-                continue
-            if allowed8 is not None and r % 8 not in allowed8:
-                continue
-            if not _symbols_ok(r, p, q, cs.symbol_rule):
-                continue
-            pool.append(r)
+        pool = [r for r in base_pool if r not in (p, q) and cs.d_ok(r, p, q)]
         if len(pool) < n:
             continue
         for combo in _combos(pool, n, cs.pairwise_one):
@@ -188,14 +106,7 @@ def find_family(
             if deadline.expired():
                 _note(progress, f"time budget exhausted after {tested} candidate sets")
                 return None
-            if cs.d_mod8_exists is not None and not any(
-                r % 8 in cs.d_mod8_exists for r in combo
-            ):
-                continue
-            D = 1
-            for r in combo:
-                D *= r
-            if cs.p_minus_d_mod8 is not None and (p - D) % 8 not in cs.p_minus_d_mod8:
+            if not cs.set_ok(p, combo):
                 continue
             params = validate_params(epsilon, p, q, combo)
             report = verify_theorem(params, cs.theorem_id)

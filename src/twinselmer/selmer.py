@@ -131,7 +131,7 @@ def _jsonable_verdict(verdict: LocalVerdict) -> dict:
 def to_jsonable(group: SelmerGroup, include_table: bool = False) -> dict:
     """Stable dict form of a SelmerGroup (sorted keys give byte-stable JSON)."""
     out = {
-        "schema": "twinselmer/selmer-v1",
+        "schema": "twinselmer/selmer-v2",
         "kind": group.kind,
         "params": group.params.as_dict(),
         "dim2": group.dim2,

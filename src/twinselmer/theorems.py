@@ -1,4 +1,4 @@
-"""Counting functions and mechanical verification of the claim catalog.
+"""Counting functions, the hypothesis table, and verification of the claim catalog.
 
 Each catalog entry pairs mechanically checkable hypotheses (congruences and
 Legendre symbols) with a claim about the two descent Selmer groups: a
@@ -6,13 +6,17 @@ dimension lower bound with explicit witnesses, an exact order, or the
 rank-plus-obstruction sum dim2(phi) + dim2(phi_hat) - 2.  Verification
 computes the groups with the generic oracle and compares.
 
-The counting functions and mod-8 predicates defined here are also the
-building blocks of the closed-form rules in criteria, which imports them.
+CONSTRAINTS holds the hypotheses of every entry made only of congruences
+on p and the D_i and Legendre symbols among them, as data: verify_theorem
+reads ConstraintSet.holds, and the search sieves on the same entries stage
+by stage.  The counting functions and mod-8 predicates defined here are
+also the building blocks of the closed-form rules in criteria.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Callable
 
 from .arith import legendre_symbol
@@ -126,10 +130,126 @@ def index_set_I(params: FamilyParams, sign: int | None = None) -> frozenset[int]
     )
 
 
+def prime_curve_indices(params: FamilyParams, sign: int | None = None) -> frozenset[int]:
+    """Indices in index_set_I with vanishing pi_prime score.
+
+    These are the D_i whose C' curve is locally solvable at every bad place.
+    """
+    return frozenset(
+        i for i in index_set_I(params, sign) if pi_prime(params, i, sign) == 0
+    )
+
+
 def rho_prime(params: FamilyParams, sign: int | None = None) -> int:
     """Number of admissible indices with vanishing pi_prime score."""
-    I = index_set_I(params, sign)
-    return sum(1 for i in I if pi_prime(params, i, sign) == 0)
+    return len(prime_curve_indices(params, sign))
+
+
+@dataclass(frozen=True)
+class ConstraintSet:
+    """The hypotheses of one catalog entry: congruences and Legendre-symbol rules.
+
+    They are split by what they read, so the search can apply each as early
+    as it can: p alone (p_ok), one D prime against the twin pair (d_ok), the
+    chosen D primes as a set (set_ok), and every ordered pair of D primes
+    (pairwise_one).  holds() is all of them on one instance; epsilon is
+    checked by the caller.
+    """
+
+    epsilon: int
+    theorem_id: str
+    p_mod8: tuple[int, ...] | None = None
+    d_mod: tuple[int, tuple[int, ...]] | None = None  # (modulus, allowed) for every D_i
+    d_mod8_exists: tuple[int, ...] | None = None  # some D_i must land here mod 8
+    symbol_rule: str | None = None  # "d-qr" | "pq-qr" | "opposite"
+    pairwise_one: bool = False  # (D_j | D_i) = 1 for all i != j
+    d_mod8_by_p: tuple[tuple[int, tuple[int, ...]], ...] | None = None  # p mod 8 -> D_i mod 8
+    p_minus_d_mod8: tuple[int, ...] | None = None
+
+    def p_ok(self, p: int) -> bool:
+        if self.p_mod8 is not None and p % 8 not in self.p_mod8:
+            return False
+        return self.d_mod8_by_p is None or p % 8 in dict(self.d_mod8_by_p)
+
+    def d_ok(self, r: int, p: int, q: int) -> bool:
+        if self.d_mod is not None and r % self.d_mod[0] not in self.d_mod[1]:
+            return False
+        if self.d_mod8_by_p is not None and r % 8 not in dict(self.d_mod8_by_p).get(p % 8, ()):
+            return False
+        rule = self.symbol_rule
+        if rule is None:
+            return True
+        if rule == "d-qr":
+            return legendre_symbol(r, p) == 1 and legendre_symbol(r, q) == 1
+        if rule == "pq-qr":
+            return legendre_symbol(p, r) == 1 and legendre_symbol(q, r) == 1
+        if rule == "opposite":
+            return legendre_symbol(r, p) + legendre_symbol(r, q) == 0
+        raise ValueError(f"unknown symbol rule {rule!r}")
+
+    def set_ok(self, p: int, d_primes) -> bool:
+        if self.d_mod8_exists is not None and not any(
+            r % 8 in self.d_mod8_exists for r in d_primes
+        ):
+            return False
+        return self.p_minus_d_mod8 is None or (p - prod(d_primes)) % 8 in self.p_minus_d_mod8
+
+    def holds(self, params: FamilyParams) -> bool:
+        p, q, Ds = params.p, params.q, params.d_primes
+        return (
+            self.p_ok(p)
+            and all(self.d_ok(r, p, q) for r in Ds)
+            and self.set_ok(p, Ds)
+            and (
+                not self.pairwise_one
+                or all(legendre_symbol(Dj, Di) == 1 for Di in Ds for Dj in Ds if Di != Dj)
+            )
+        )
+
+
+CONSTRAINTS: dict[str, ConstraintSet] = {
+    "1.2A": ConstraintSet(1, "1.2A", d_mod=(4, (1,)), symbol_rule="d-qr", pairwise_one=True),
+    "1.2B": ConstraintSet(
+        1, "1.2B", d_mod=(4, (1,)), d_mod8_exists=(5,), symbol_rule="d-qr", pairwise_one=True
+    ),
+    "1.2C": ConstraintSet(
+        1, "1.2C", p_mod8=(7,), d_mod=(8, (1,)), symbol_rule="d-qr", pairwise_one=True
+    ),
+    "1.4ex": ConstraintSet(1, "1.4ex", p_mod8=(3, 7), d_mod=(8, (1,)), symbol_rule="opposite"),
+    "1.5A": ConstraintSet(
+        1,
+        "1.5A",
+        d_mod=(4, (1,)),
+        d_mod8_exists=(5,),
+        symbol_rule="d-qr",
+        pairwise_one=True,
+        p_minus_d_mod8=(0, 2),
+    ),
+    "1.5B": ConstraintSet(
+        1, "1.5B", p_mod8=(7,), d_mod=(8, (1,)), symbol_rule="d-qr", pairwise_one=True
+    ),
+    "1.7A": ConstraintSet(-1, "1.7A", symbol_rule="pq-qr", pairwise_one=True),
+    "1.7B": ConstraintSet(
+        -1,
+        "1.7B",
+        symbol_rule="pq-qr",
+        pairwise_one=True,
+        d_mod8_by_p=((7, (1, 7)), (1, (1, 3))),
+    ),
+    "1.9ex": ConstraintSet(-1, "1.9ex", d_mod=(8, (1,)), symbol_rule="opposite"),
+    "1.10A": ConstraintSet(
+        -1,
+        "1.10A",
+        d_mod=(4, (1,)),
+        d_mod8_exists=(5,),
+        symbol_rule="d-qr",
+        pairwise_one=True,
+        p_minus_d_mod8=(2, 4),
+    ),
+    "1.10B": ConstraintSet(
+        -1, "1.10B", p_mod8=(1, 7), d_mod=(8, (1,)), symbol_rule="pq-qr", pairwise_one=True
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -168,34 +288,6 @@ class _Groups:
         return self._cache[kind]
 
 
-def _pairwise_one(params: FamilyParams) -> bool:
-    Ds = params.d_primes
-    return all(
-        legendre_symbol(Dj, Di) == 1 for Di in Ds for Dj in Ds if Di != Dj
-    )
-
-
-def _d_qr_mod_pq(params: FamilyParams) -> bool:
-    return all(
-        legendre_symbol(Di, params.p) == 1 and legendre_symbol(Di, params.q) == 1
-        for Di in params.d_primes
-    )
-
-
-def _pq_qr_mod_d(params: FamilyParams) -> bool:
-    return all(
-        legendre_symbol(params.p, Di) == 1 and legendre_symbol(params.q, Di) == 1
-        for Di in params.d_primes
-    )
-
-
-def _opposite_symbols(params: FamilyParams) -> bool:
-    return all(
-        legendre_symbol(Di, params.p) + legendre_symbol(Di, params.q) == 0
-        for Di in params.d_primes
-    )
-
-
 def _rank_sha_sum(gphi: SelmerGroup, ghat: SelmerGroup) -> int:
     return gphi.dim2 + ghat.dim2 - 2
 
@@ -205,10 +297,7 @@ def _alpha_condition(params: FamilyParams) -> bool:
 
 
 def _prime_curves_pass_two(params: FamilyParams) -> bool:
-    I = index_set_I(params)
-    return all(
-        i in I and pi_prime(params, i) == 0 for i in range(1, params.n + 1)
-    )
+    return rho_prime(params) == params.n
 
 
 @dataclass(frozen=True)
@@ -265,11 +354,9 @@ def _exact_order(kind, power_shift):
 
 def _run_rho_prime(params, groups):
     g = groups(PHI_HAT)
-    rp = rho_prime(params)
-    I = index_set_I(params)
-    witnesses = [
-        params.d_primes[i - 1] for i in sorted(I) if pi_prime(params, i) == 0
-    ]
+    indices = prime_curve_indices(params)
+    rp = len(indices)
+    witnesses = [params.d_primes[i - 1] for i in sorted(indices)]
     ok = g.dim2 >= rp and all(g.contains_value(w) for w in witnesses)
     return (
         f"dim2(phi_hat) >= {rp} with witnesses {witnesses}",
@@ -370,93 +457,29 @@ def _run_1_7a(params, groups):
     )
 
 
-def _hyp_1_2a(params):
-    return (
-        all(Di % 4 == 1 for Di in params.d_primes)
-        and _d_qr_mod_pq(params)
-        and _pairwise_one(params)
-    )
-
-
-def _hyp_1_2b(params):
-    return _hyp_1_2a(params) and any(Di % 8 == 5 for Di in params.d_primes)
-
-
-def _hyp_1_2c(params):
-    return (
-        params.p % 8 == 7
-        and all(Di % 8 == 1 for Di in params.d_primes)
-        and _d_qr_mod_pq(params)
-        and _pairwise_one(params)
-    )
-
-
-def _hyp_1_4ex(params):
-    return (
-        all(Di % 8 == 1 for Di in params.d_primes)
-        and _opposite_symbols(params)
-        and params.p % 4 == 3
-    )
-
-
-def _hyp_1_5a(params):
-    return _hyp_1_2b(params) and (params.p - params.D) % 8 in (0, 2)
-
-
-def _hyp_1_7a(params):
-    return _pq_qr_mod_d(params) and _pairwise_one(params)
-
-
-def _hyp_1_7b(params):
-    if not _hyp_1_7a(params):
-        return False
-    p, Ds = params.p, params.d_primes
-    return (p % 8 == 7 and all(Di % 8 in (1, 7) for Di in Ds)) or (
-        p % 8 == 1 and all(Di % 8 in (1, 3) for Di in Ds)
-    )
-
-
-def _hyp_1_9ex(params):
-    return all(Di % 8 == 1 for Di in params.d_primes) and _opposite_symbols(params)
-
-
-def _hyp_1_10a(params):
-    return (
-        all(Di % 4 == 1 for Di in params.d_primes)
-        and any(Di % 8 == 5 for Di in params.d_primes)
-        and _d_qr_mod_pq(params)
-        and _pairwise_one(params)
-        and (params.p - params.D) % 8 in (2, 4)
-    )
-
-
-def _hyp_1_10b(params):
-    return (
-        params.p % 8 in (1, 7)
-        and all(Di % 8 == 1 for Di in params.d_primes)
-        and _pq_qr_mod_d(params)
-        and _pairwise_one(params)
-    )
+def _sieved(theorem_id: str, run) -> _Claim:
+    cs = CONSTRAINTS[theorem_id]
+    return _Claim(cs.epsilon, cs.holds, run)
 
 
 _CLAIMS: dict[str, _Claim] = {
     "1.1": _Claim(1, lambda params: True, _run_1_1),
-    "1.2A": _Claim(1, _hyp_1_2a, _run_1_2a),
-    "1.2B": _Claim(1, _hyp_1_2b, _exact_order(PHI, 0)),
-    "1.2C": _Claim(1, _hyp_1_2c, _exact_order(PHI, 1)),
+    "1.2A": _sieved("1.2A", _run_1_2a),
+    "1.2B": _sieved("1.2B", _exact_order(PHI, 0)),
+    "1.2C": _sieved("1.2C", _exact_order(PHI, 1)),
     "1.3": _Claim(1, lambda params: True, _run_rho_prime),
     "1.4": _Claim(1, _prime_curves_pass_two, _run_1_4),
-    "1.4ex": _Claim(1, _hyp_1_4ex, _exact_order(PHI_HAT, 3)),
-    "1.5A": _Claim(1, _hyp_1_5a, _run_1_5a),
-    "1.5B": _Claim(1, _hyp_1_2c, _both_exact(1, 3, 2)),
+    "1.4ex": _sieved("1.4ex", _exact_order(PHI_HAT, 3)),
+    "1.5A": _sieved("1.5A", _run_1_5a),
+    "1.5B": _sieved("1.5B", _both_exact(1, 3, 2)),
     "1.6": _Claim(-1, lambda params: True, _run_1_6),
-    "1.7A": _Claim(-1, _hyp_1_7a, _run_1_7a),
-    "1.7B": _Claim(-1, _hyp_1_7b, _exact_order(PHI, 1)),
+    "1.7A": _sieved("1.7A", _run_1_7a),
+    "1.7B": _sieved("1.7B", _exact_order(PHI, 1)),
     "1.8": _Claim(-1, lambda params: True, _run_rho_prime),
     "1.9": _Claim(-1, _prime_curves_pass_two, _exact_order(PHI_HAT, 2)),
-    "1.9ex": _Claim(-1, _hyp_1_9ex, _exact_order(PHI_HAT, 2)),
-    "1.10A": _Claim(-1, _hyp_1_10a, _both_exact(0, 2, 0)),
-    "1.10B": _Claim(-1, _hyp_1_10b, _both_exact(1, 2, 1)),
+    "1.9ex": _sieved("1.9ex", _exact_order(PHI_HAT, 2)),
+    "1.10A": _sieved("1.10A", _both_exact(0, 2, 0)),
+    "1.10B": _sieved("1.10B", _both_exact(1, 2, 1)),
 }
 
 THEOREM_IDS = tuple(sorted(_CLAIMS))

@@ -44,9 +44,14 @@ def test_real_c_kind_minus_always_solvable():
 
 def test_real_witness_visible_point():
     params = validate_params(1, 3, 5, [7])
-    verdict = real_solvable(build_space(params, -21, KIND_CPRIME))  # d = -p*D
+    space = build_space(params, -21, KIND_CPRIME)  # d = -p*D, point (1, 0)
+    verdict = real_solvable(space)
     assert verdict.solvable
-    assert verdict.witness == {"type": "rational", "z": Fraction(1), "w": Fraction(0)}
+    # the sign rule decides it: s = z^2 at the vertex, where d*g(s) >= 0
+    assert verdict.witness["type"] == "real_sign"
+    s = verdict.witness["s"]
+    assert s >= 0
+    assert space.d * (space.u4 * s * s + space.u2 * s + space.u0) >= 0
 
 
 def test_padic_two_adic_congruence_cases():

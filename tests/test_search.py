@@ -3,8 +3,10 @@
 import pytest
 
 import twinselmer as ts
-from twinselmer.search import demonstrate_large_selmer, find_family
+from twinselmer.search import CONSTRAINTS, demonstrate_large_selmer, find_family
 from twinselmer.theorems import rho_plus, verify_theorem
+
+from helpers import SEARCH_HITS
 
 
 def test_find_family_examples():
@@ -16,12 +18,15 @@ def test_find_family_examples():
 
 
 def test_find_family_hits_verify():
-    for cid in ("1.2A", "1.7A", "1.9ex"):
-        eps = 1 if cid.startswith("1.2") else -1
-        fam = find_family(eps, cid, 2, 500)
-        assert fam is not None
-        report = verify_theorem(fam, cid)
-        assert report.verdict == "pass", (cid, fam.label(), report)
+    # every entry of the shared hypothesis table, at n = 1 and 2: the sieve's
+    # smallest hit is pinned and re-verifies as pass
+    for cid, cs in CONSTRAINTS.items():
+        for n in (1, 2):
+            fam = find_family(cs.epsilon, cid, n, 500)
+            assert fam is not None, (cid, n)
+            assert (fam.p, fam.q, fam.d_primes) == SEARCH_HITS[cid, n], (cid, n)
+            report = verify_theorem(fam, cid)
+            assert report.verdict == "pass", (cid, fam.label(), report)
 
 
 def test_find_family_deterministic():

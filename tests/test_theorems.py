@@ -4,6 +4,7 @@ import pytest
 
 from twinselmer.family import validate_params
 from twinselmer.theorems import (
+    CONSTRAINTS,
     THEOREM_IDS,
     index_set_I,
     pi_minus,
@@ -15,7 +16,8 @@ from twinselmer.theorems import (
     verify_theorem,
 )
 
-from helpers import random_instances
+from helpers import SEARCH_HITS, random_instances
+from reference_hypotheses import REFERENCE
 
 
 def test_pi_plus_values():
@@ -110,3 +112,23 @@ def test_report_serialization():
     payload = r.as_dict()
     assert payload["theorem"] == "1.2B" and payload["verdict"] == "pass"
     assert payload["params"]["d_primes"] == [61]
+
+
+def test_hypothesis_table_matches_reference():
+    # the table both verify_theorem and the sieve read, against the
+    # hand-written predicates, on random instances and the search hits
+    assert set(CONSTRAINTS) == set(REFERENCE)
+    instances = random_instances(seed=5, count=400, prime_bound=200, max_n=2)
+    instances += [
+        validate_params(CONSTRAINTS[tid].epsilon, p, q, ds)
+        for (tid, _), (p, q, ds) in SEARCH_HITS.items()
+    ]
+    seen = {tid: set() for tid in CONSTRAINTS}
+    for params in instances:
+        for tid, cs in CONSTRAINTS.items():
+            want = REFERENCE[tid](params)
+            assert cs.holds(params) == want, (tid, params.label())
+            report = verify_theorem(params, tid)
+            assert report.hypotheses_hold == (want and params.epsilon == cs.epsilon)
+            seen[tid].add(want)
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
