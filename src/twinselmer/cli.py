@@ -17,7 +17,7 @@ from .family import (
     validate_params,
 )
 from .localsolve import OracleUndecidedError
-from .search import CONSTRAINTS, demonstrate_large_selmer, find_family
+from .search import CONSTRAINTS, ClaimFailedError, demonstrate_large_selmer, find_family
 from .selmer import compute_selmer, to_jsonable
 from .theorems import THEOREM_IDS, verify_theorem
 
@@ -102,27 +102,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CONFIG_PARSERS = {
-    "epsilon": _parse_epsilon,
-    "p": int,
-    "q": int,
-    "D": _parse_primes,
-    "kind": str,
-    "theorem": str,
-    "corollary": str,
-    "format": str,
-    "n": int,
-    "n_cap": int,
-    "bound": int,
-    "target_dim": int,
-    "time_budget": float,
-    "strict": lambda s: s.lower() in ("1", "true", "yes"),
-    "seed_table": lambda s: s.lower() in ("1", "true", "yes"),
-}
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Load key=value pairs; per the interface contract they override flags.
 
-
-def _apply_config(args: argparse.Namespace) -> None:
-    """Load key=value pairs; per the interface contract they override flags."""
+    Each value passes the same type and choices checks as its flag.
+    """
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    flags = {
+        a.dest: a
+        for a in commands[args.command]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
     with open(args.config, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -131,10 +121,22 @@ def _apply_config(args: argparse.Namespace) -> None:
             if "=" not in line:
                 raise ValueError(f"{args.config}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_PARSERS or not hasattr(args, key):
+            key, value = key.strip().replace("-", "_"), value.strip()
+            flag = flags.get(key)
+            if flag is None:
                 raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
-            setattr(args, key, _CONFIG_PARSERS[key](value.strip()))
+            if flag.nargs == 0:  # store_true
+                setattr(args, key, value.lower() in ("1", "true", "yes"))
+                continue
+            try:
+                parsed = flag.type(value) if flag.type else value
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise ValueError(f"{args.config}:{lineno}: {key}: {exc}") from None
+            if flag.choices is not None and parsed not in flag.choices:
+                choices = ", ".join(flag.choices)
+                raise ValueError(f"{args.config}:{lineno}: {key}: invalid choice {parsed!r}"
+                                 f" (choose from {choices})")
+            setattr(args, key, parsed)
 
 
 def _canonical_json(payload: dict) -> str:
@@ -304,10 +306,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(args)
+            _apply_config(args, parser)
         return _HANDLERS[args.command](args)
     except InvalidParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -315,6 +318,9 @@ def main(argv=None) -> int:
     except OracleUndecidedError as exc:
         print(f"error: oracle undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    except ClaimFailedError as exc:
+        print(f"counterexample: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,33 +6,43 @@ residues mod 8/16 and Legendre symbols.  Where no rule is stated the
 verdict defers to the generic oracle (applicable = False); the engine
 never guesses.  Disagreements with the oracle are collected by
 audit_params, not auto-resolved.
+
+The membership rules that need more than the class value read the member
+predicates of theorems, the same ones its claims read: S:C:Di and S:C:-Di
+read _is_phi_witness, S:C:2 and S:C:-2 read _adjoined_two, S:C':Di reads
+_prime_curve_ok, S:C':-pq reads _alpha_condition, and S:C':-D and S:C':D
+read _minus_eps_d_member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import selmer
 from .arith import legendre_symbol
 from .family import (
     INF_PLACE,
     KIND_C,
-    KIND_CPRIME,
     PHI,
     PHI_HAT,
     FamilyParams,
     SquareClass,
+    _quartic_kind,
     build_space,
     enumerate_square_classes,
 )
 from .localsolve import local_verdict
 from .theorems import (
+    _adjoined_two,
     _alpha_condition,
     _d_two_adic,
+    _is_phi_witness,
+    _minus_eps_d_member,
     _minus_pq_two_adic,
+    _prime_curve_ok,
     _two_adic_unit_case,
     alpha_minus_pq,  # re-exported: part of the criteria API
-    beta_minus_D,
-    prime_curve_indices,
+    beta_minus_D,  # re-exported: part of the criteria API
 )
 
 
@@ -158,77 +168,36 @@ def _local_cprime(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
 
 def closed_form_local(params: FamilyParams, kind: str, d, place) -> ClosedFormVerdict:
     """Closed-form local verdict for (kind, d, place), or applicable = False."""
-    dv = _as_value(d)
-    if kind in (PHI, KIND_C):
-        return _local_c(params, dv, place)
-    if kind in (PHI_HAT, KIND_CPRIME):
-        return _local_cprime(params, dv, place)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _index_of(params: FamilyParams, Di: int) -> int:
-    return params.d_primes.index(Di) + 1
+    local = _local_c if _quartic_kind(kind) == KIND_C else _local_cprime
+    return local(params, _as_value(d), place)
 
 
 def _membership_with_rule(params, kind, dv):
     eps, p, q, D = params.epsilon, params.p, params.q, params.D
     Ds = params.d_primes
-    if kind in (PHI, KIND_C):
+    if _quartic_kind(kind) == KIND_C:
         if dv == 1:
             return True, "S:identity"
         if eps == 1 and (dv < 0 or dv % p == 0 or dv % q == 0):
             return False, "S:C:excluded"
         if eps == -1 and (dv % p == 0 or dv % q == 0 or dv == -1):
             return False, "S:C:excluded"
-        if dv == 2:
-            ok = p % 8 == 7 and all(Di % 8 in (1, 7) for Di in Ds)
-            return ok, "S:C:2"
-        if eps == -1 and dv == -2:
-            ok = p % 8 == 1 and all(Di % 8 in (1, 3) for Di in Ds)
-            return ok, "S:C:-2"
-        if dv in Ds or (eps == -1 and -dv in Ds):
-            Di = dv if dv in Ds else -dv
-            symbols_ok = (
-                legendre_symbol(p, Di) == 1
-                and legendre_symbol(q, Di) == 1
-                and all(legendre_symbol(Dj, Di) == 1 for Dj in Ds if Dj != Di)
-            )
-            if dv > 0:
-                return (Di % 4 == 1 and symbols_ok), "S:C:Di"
-            return (Di % 4 == 3 and symbols_ok), "S:C:-Di"
+        if dv == 2 or (eps == -1 and dv == -2):
+            return _adjoined_two(params) == dv, "S:C:2" if dv > 0 else "S:C:-2"
+        if abs(dv) in Ds:  # eps = +1 has excluded dv < 0 above
+            return _is_phi_witness(params, dv), "S:C:Di" if dv > 0 else "S:C:-Di"
         return None
-    if kind in (PHI_HAT, KIND_CPRIME):
-        if dv in Ds:
-            return _index_of(params, dv) in prime_curve_indices(params), "S:C':Di"
-        if eps == 1:
-            if dv % 2 == 0:
-                return False, "S:C':excluded"
-            if dv in (1, p * q, -p * D, -q * D):
-                return True, "S:C':rational-point"
-            if dv == -p * q:
-                return _alpha_condition(params), "S:C':-pq"
-            if dv == -D:
-                ok = beta_minus_D(params) == 0 and (
-                    D % 8 == 7
-                    or p % 8 in (1, 7)
-                    or (D % 8 == 1 and p % 8 == 3)
-                    or (D % 8 == 5 and p % 8 == 5)
-                )
-                return ok, "S:C':-D"
-            return None
-        # eps == -1
-        if dv % 2 == 0 or dv < 0:
-            return False, "S:C':excluded"
-        if dv in (1, p * q, p * D, q * D):
-            return True, "S:C':rational-point"
-        if dv == D and params.n >= 2:
-            odd_ok = all(
-                legendre_symbol(p, Di) == 1 or legendre_symbol(q, Di) == 1
-                for Di in Ds
-            )
-            return (_d_two_adic(p, D) and odd_ok), "S:C':D"
-        return None
-    raise ValueError(f"unknown kind {kind!r}")
+    if dv in Ds:
+        return _prime_curve_ok(params, Ds.index(dv) + 1), "S:C':Di"
+    if dv % 2 == 0 or (eps == -1 and dv < 0):
+        return False, "S:C':excluded"
+    if dv in (1, p * q, -eps * p * D, -eps * q * D):
+        return True, "S:C':rational-point"
+    if eps == 1 and dv == -p * q:
+        return _alpha_condition(params), "S:C':-pq"
+    if dv == -eps * D and (eps == 1 or params.n >= 2):
+        return _minus_eps_d_member(params), "S:C':-D" if eps == 1 else "S:C':D"
+    return None
 
 
 def membership_closed_form(params: FamilyParams, kind: str, d) -> bool | None:
@@ -244,11 +213,8 @@ def audit_params(params: FamilyParams, groups=None) -> list[dict]:
     on this instance.  Oracle verdicts reuse the Selmer verdict tables and
     are recomputed only where the table stopped early.
     """
-    from .selmer import compute_selmer  # local import to keep module load acyclic
-
     if groups is None:
-        groups = {kind: compute_selmer(params, kind) for kind in (PHI, PHI_HAT)}
-    space_kind = {PHI: KIND_C, PHI_HAT: KIND_CPRIME}
+        groups = {kind: selmer.compute_selmer(params, kind) for kind in (PHI, PHI_HAT)}
     rows = []
     for kind in (PHI, PHI_HAT):
         group = groups[kind]
@@ -263,7 +229,7 @@ def audit_params(params: FamilyParams, groups=None) -> list[dict]:
                 verdict = group.verdict_table.get((dv, place))
                 if verdict is None:
                     if space is None:
-                        space = build_space(params, cls, space_kind[kind])
+                        space = build_space(params, cls, kind)
                     verdict = local_verdict(space, place)
                 if cf.solvable != verdict.solvable:
                     rows.append(

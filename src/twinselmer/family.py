@@ -22,12 +22,21 @@ KIND_CPRIME = "C'"  # quartic with leading coefficient p*q*D^2
 PHI = "phi"
 PHI_HAT = "phi_hat"
 
+# phi is tested on the C quartics, phi_hat on the C' quartics
 _KIND_ALIASES = {
     KIND_C: KIND_C,
     KIND_CPRIME: KIND_CPRIME,
     PHI: KIND_C,
     PHI_HAT: KIND_CPRIME,
 }
+
+
+def _quartic_kind(kind: str) -> str:
+    """KIND_C or KIND_CPRIME for a quartic kind or a Selmer-side name."""
+    k = _KIND_ALIASES.get(kind)
+    if k is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    return k
 
 
 class InvalidParamsError(ValueError):
@@ -173,9 +182,7 @@ class HomogeneousSpace:
 
 def build_space(params: FamilyParams, d, kind: str) -> HomogeneousSpace:
     """Quartic descent curve for class d; kind selects the leading coefficient shape."""
-    k = _KIND_ALIASES.get(kind)
-    if k is None:
-        raise ValueError(f"unknown kind {kind!r}")
+    k = _quartic_kind(kind)
     dv = d.value if isinstance(d, SquareClass) else int(d)
     if dv == 0:
         raise ValueError("d must be nonzero")

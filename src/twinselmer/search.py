@@ -5,7 +5,8 @@ verify_theorem checks: p first, then each D prime of the pool, then each
 chosen set.  Candidates are scanned smallest-first and deterministically:
 twin pairs ascending, then D primes by backtracking over an ascending pool,
 pruned pairwise where the entry asks for it.  Every hit is revalidated
-through verify_theorem before it is returned.
+through verify_theorem before it is returned; a hit whose claim fails is
+raised as a counterexample (ClaimFailedError), never returned.
 """
 
 from __future__ import annotations
@@ -19,10 +20,20 @@ from .selmer import compute_selmer
 from .theorems import (
     CONSTRAINTS,
     ConstraintSet,  # re-exported: part of the search API
+    TheoremReport,
     verify_theorem,
 )
 
 _TWIN_LIMIT = 10**6
+
+
+class ClaimFailedError(Exception):
+    """A sieve hit on which its catalog claim fails; report holds the counterexample."""
+
+    def __init__(self, report: TheoremReport):
+        super().__init__(f"claim {report.theorem_id} fails on {report.params.label()}:"
+                         f" claimed {report.claimed}; observed {report.observed}")
+        self.report = report
 
 
 class _Deadline:
@@ -78,7 +89,8 @@ def find_family(
     """Smallest admissible instance of a catalog entry's hypotheses, or None.
 
     All D_i are kept <= bound; twin pairs are scanned ascending from the
-    fixed table below twin_limit.
+    fixed table below twin_limit.  Raises ClaimFailedError when the claim
+    fails on the first admissible instance.
     """
     cs = CONSTRAINTS.get(corollary_id)
     if cs is None:
@@ -110,6 +122,8 @@ def find_family(
                 continue
             params = validate_params(epsilon, p, q, combo)
             report = verify_theorem(params, cs.theorem_id)
+            if report.verdict == "fail":
+                raise ClaimFailedError(report)
             if report.verdict != "not-applicable":
                 _note(progress, f"hit {params.label()} after {tested} candidate sets")
                 return params

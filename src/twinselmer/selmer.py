@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .family import (
-    KIND_C,
-    KIND_CPRIME,
     PHI,
     PHI_HAT,
     FamilyParams,
@@ -22,8 +20,6 @@ from .family import (
     enumerate_square_classes,
 )
 from .localsolve import LocalVerdict, local_verdict
-
-_SPACE_KIND = {PHI: KIND_C, PHI_HAT: KIND_CPRIME}
 
 
 @dataclass(frozen=True)
@@ -86,14 +82,13 @@ def check_group_closure(elements) -> bool:
 
 def compute_selmer(params: FamilyParams, kind: str) -> SelmerGroup:
     """Filter the square-class group through the local oracle at every bad place."""
-    if kind not in _SPACE_KIND:
+    if kind not in (PHI, PHI_HAT):
         raise ValueError(f"kind must be {PHI!r} or {PHI_HAT!r}, got {kind!r}")
-    space_kind = _SPACE_KIND[kind]
     places = params.places()
     members: list[SquareClass] = []
     table: dict = {}
     for cls in enumerate_square_classes(params):
-        space = build_space(params, cls, space_kind)
+        space = build_space(params, cls, kind)
         ok = True
         for place in places:
             verdict = local_verdict(space, place)

@@ -1,4 +1,4 @@
-"""Counting functions, the hypothesis table, and verification of the claim catalog.
+"""Counting functions, the member predicates, the hypothesis table, and the claim catalog.
 
 Each catalog entry pairs mechanically checkable hypotheses (congruences and
 Legendre symbols) with a claim about the two descent Selmer groups: a
@@ -9,13 +9,21 @@ computes the groups with the generic oracle and compares.
 CONSTRAINTS holds the hypotheses of every entry made only of congruences
 on p and the D_i and Legendre symbols among them, as data: verify_theorem
 reads ConstraintSet.holds, and the search sieves on the same entries stage
-by stage.  The counting functions and mod-8 predicates defined here are
-also the building blocks of the closed-form rules in criteria.
+by stage.
+
+Each closed-form group member has one predicate here, read by the claims
+and by the membership rules of criteria alike: _is_phi_witness (+-D_i in
+phi; the witnesses of 1.1 and 1.6, counted by rho_plus and rho_minus),
+_adjoined_two (2 or -2 in phi; the adjoined branches of 1.1 and 1.6),
+_prime_curve_ok (D_i in phi_hat; prime_curve_indices, rho_prime and the
+hypotheses of 1.4 and 1.9), _alpha_condition (-pq in phi_hat; the exact-top
+branch of 1.4) and _minus_eps_d_member (-eps*D in phi_hat).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 from typing import Callable
 
@@ -24,27 +32,8 @@ from .family import PHI, PHI_HAT, FamilyParams
 from .selmer import SelmerGroup, compute_selmer
 
 
-def pi_plus(params: FamilyParams, i: int) -> int:
-    """Nonresidue score of D_i against -1, p, q and the other D_j (each term 0 or 2)."""
-    Di = params.d_primes[i - 1]
-    total = (
-        (1 - legendre_symbol(-1, Di))
-        + (1 - legendre_symbol(params.p, Di))
-        + (1 - legendre_symbol(params.q, Di))
-    )
-    total += sum(
-        1 - legendre_symbol(Dj, Di) for j, Dj in enumerate(params.d_primes, 1) if j != i
-    )
-    return total
-
-
-def rho_plus(params: FamilyParams) -> int:
-    """Number of indices with vanishing pi_plus score."""
-    return sum(1 for i in range(1, params.n + 1) if pi_plus(params, i) == 0)
-
-
 def pi_minus(params: FamilyParams, i: int) -> int:
-    """Like pi_plus but without the -1 term."""
+    """Nonresidue score of D_i against p, q and the other D_j (each term 0 or 2)."""
     Di = params.d_primes[i - 1]
     total = (1 - legendre_symbol(params.p, Di)) + (1 - legendre_symbol(params.q, Di))
     total += sum(
@@ -53,8 +42,50 @@ def pi_minus(params: FamilyParams, i: int) -> int:
     return total
 
 
+def pi_plus(params: FamilyParams, i: int) -> int:
+    """Nonresidue score of D_i against -1, p, q and the other D_j: pi_minus plus the -1 term."""
+    return pi_minus(params, i) + 1 - legendre_symbol(-1, params.d_primes[i - 1])
+
+
+def _is_phi_witness(params: FamilyParams, dv: int) -> bool:
+    """Phi membership of dv = +-D_i: dv = 1 mod 4 and pi_minus(i) vanishes.
+
+    epsilon = +1 admits only dv > 0; the caller excludes the rest.
+    """
+    return dv % 4 == 1 and pi_minus(params, params.d_primes.index(abs(dv)) + 1) == 0
+
+
+def _phi_witnesses(params: FamilyParams, sign: int | None = None) -> list[int]:
+    """The D_i signed to be 1 mod 4 that pass _is_phi_witness (claims 1.1 and 1.6).
+
+    sign defaults to epsilon; +1 keeps only the positive ones.
+    """
+    s = params.epsilon if sign is None else sign
+    signed = (Di if Di % 4 == 1 else -Di for Di in params.d_primes)
+    return [dv for dv in signed if (s == -1 or dv > 0) and _is_phi_witness(params, dv)]
+
+
+def rho_plus(params: FamilyParams) -> int:
+    """Number of indices with vanishing pi_plus score."""
+    return len(_phi_witnesses(params, 1))
+
+
 def rho_minus(params: FamilyParams) -> int:
-    return sum(1 for i in range(1, params.n + 1) if pi_minus(params, i) == 0)
+    return len(_phi_witnesses(params, -1))
+
+
+def _adjoined_two(params: FamilyParams) -> int | None:
+    """The class 2 or -2 that claims 1.1 and 1.6 adjoin to the phi witnesses, if any.
+
+    2 when p = 7 mod 8 and every D_i = 1, 7 mod 8; -2 (epsilon = -1 only)
+    when p = 1 mod 8 and every D_i = 1, 3 mod 8.
+    """
+    p, Ds = params.p, params.d_primes
+    if p % 8 == 7 and all(Di % 8 in (1, 7) for Di in Ds):
+        return 2
+    if params.epsilon == -1 and p % 8 == 1 and all(Di % 8 in (1, 3) for Di in Ds):
+        return -2
+    return None
 
 
 def pi_prime(params: FamilyParams, i: int, sign: int | None = None) -> int:
@@ -111,7 +142,7 @@ def _minus_pq_two_adic(p: int, D: int) -> bool:
 
 
 def _d_two_adic(p: int, D: int) -> bool:
-    """Mod-8 condition for the C' curve of d = D (epsilon = -1, n >= 2) at the place 2."""
+    """Mod-8 condition for the C' curve of d = D (epsilon = -1) or d = -D (epsilon = +1) at 2."""
     return (
         D % 8 == 1
         or p % 8 in (1, 7)
@@ -130,14 +161,19 @@ def index_set_I(params: FamilyParams, sign: int | None = None) -> frozenset[int]
     )
 
 
-def prime_curve_indices(params: FamilyParams, sign: int | None = None) -> frozenset[int]:
-    """Indices in index_set_I with vanishing pi_prime score.
-
-    These are the D_i whose C' curve is locally solvable at every bad place.
-    """
-    return frozenset(
-        i for i in index_set_I(params, sign) if pi_prime(params, i, sign) == 0
+def _prime_curve_ok(params: FamilyParams, i: int, sign: int | None = None) -> bool:
+    """D_i lies in the phi_hat group: i is in index_set_I and pi_prime(i) vanishes."""
+    s = params.epsilon if sign is None else sign
+    Di = params.d_primes[i - 1]
+    return (
+        _two_adic_unit_case(Di, params.p, params.q, s, params.dhat(i))
+        and pi_prime(params, i, sign) == 0
     )
+
+
+def prime_curve_indices(params: FamilyParams, sign: int | None = None) -> frozenset[int]:
+    """Indices in index_set_I with vanishing pi_prime score."""
+    return frozenset(i for i in range(1, params.n + 1) if _prime_curve_ok(params, i, sign))
 
 
 def rho_prime(params: FamilyParams, sign: int | None = None) -> int:
@@ -275,19 +311,6 @@ class TheoremReport:
         }
 
 
-class _Groups:
-    """Lazy per-verification cache of the two Selmer groups."""
-
-    def __init__(self, params: FamilyParams):
-        self.params = params
-        self._cache: dict[str, SelmerGroup] = {}
-
-    def __call__(self, kind: str) -> SelmerGroup:
-        if kind not in self._cache:
-            self._cache[kind] = compute_selmer(self.params, kind)
-        return self._cache[kind]
-
-
 def _rank_sha_sum(gphi: SelmerGroup, ghat: SelmerGroup) -> int:
     return gphi.dim2 + ghat.dim2 - 2
 
@@ -296,28 +319,35 @@ def _alpha_condition(params: FamilyParams) -> bool:
     return alpha_minus_pq(params) == 0 and _minus_pq_two_adic(params.p, params.D)
 
 
+def _minus_eps_d_member(params: FamilyParams) -> bool:
+    """-eps*D lies in the phi_hat group: beta_minus_D vanishes and the place 2 passes."""
+    return beta_minus_D(params) == 0 and _d_two_adic(params.p, -params.epsilon * params.D)
+
+
 def _prime_curves_pass_two(params: FamilyParams) -> bool:
-    return rho_prime(params) == params.n
+    return all(_prime_curve_ok(params, i) for i in range(1, params.n + 1))
 
 
 @dataclass(frozen=True)
 class _Claim:
     epsilon: int
     hypotheses: Callable[[FamilyParams], bool]
-    run: Callable[[FamilyParams, _Groups], tuple[str, dict, bool, str | None]]
+    run: Callable[[FamilyParams, Callable[[str], SelmerGroup]], tuple[str, dict, bool, str | None]]
 
 
-def _run_1_1(params, groups):
+def _run_rho_phi(params, groups):
     g = groups(PHI)
-    rho = rho_plus(params)
-    witnesses = [Di for i, Di in enumerate(params.d_primes, 1) if pi_plus(params, i) == 0]
+    witnesses = _phi_witnesses(params)
+    rho = len(witnesses)
     ok = g.dim2 >= rho and all(g.contains_value(w) for w in witnesses)
+    signed = "signed " if params.epsilon == -1 else ""
+    claimed = f"dim2(phi) >= {rho} with {signed}witnesses {witnesses}"
     branch = None
-    claimed = f"dim2(phi) >= {rho} with witnesses {witnesses}"
-    if params.p % 8 == 7 and all(Di % 8 in (1, 7) for Di in params.d_primes):
-        branch = "two-adjoined"
-        claimed += f"; dim2(phi) >= {rho + 1} with 2 adjoined"
-        ok = ok and g.dim2 >= rho + 1 and g.contains_value(2)
+    two = _adjoined_two(params)
+    if two is not None:
+        branch = "two-adjoined" if two == 2 else "minus-two-adjoined"
+        claimed += f"; dim2(phi) >= {rho + 1} with {two} adjoined"
+        ok = ok and g.dim2 >= rho + 1 and g.contains_value(two)
     observed = {"dim_phi": g.dim2, "rho": rho, "witnesses": witnesses}
     return claimed, observed, ok, branch
 
@@ -419,29 +449,6 @@ def _both_exact(phi_shift, hat_shift, sum_offset):
     return run
 
 
-def _run_1_6(params, groups):
-    g = groups(PHI)
-    rho = rho_minus(params)
-    witnesses = [
-        Di if Di % 4 == 1 else -Di
-        for i, Di in enumerate(params.d_primes, 1)
-        if pi_minus(params, i) == 0
-    ]
-    ok = g.dim2 >= rho and all(g.contains_value(w) for w in witnesses)
-    claimed = f"dim2(phi) >= {rho} with signed witnesses {witnesses}"
-    branch = None
-    if params.p % 8 == 7 and all(Di % 8 in (1, 7) for Di in params.d_primes):
-        branch = "two-adjoined"
-        ok = ok and g.dim2 >= rho + 1 and g.contains_value(2)
-        claimed += f"; dim2(phi) >= {rho + 1} with 2 adjoined"
-    elif params.p % 8 == 1 and all(Di % 8 in (1, 3) for Di in params.d_primes):
-        branch = "minus-two-adjoined"
-        ok = ok and g.dim2 >= rho + 1 and g.contains_value(-2)
-        claimed += f"; dim2(phi) >= {rho + 1} with -2 adjoined"
-    observed = {"dim_phi": g.dim2, "rho": rho, "witnesses": witnesses}
-    return claimed, observed, ok, branch
-
-
 def _run_1_7a(params, groups):
     g = groups(PHI)
     n = params.n
@@ -463,7 +470,7 @@ def _sieved(theorem_id: str, run) -> _Claim:
 
 
 _CLAIMS: dict[str, _Claim] = {
-    "1.1": _Claim(1, lambda params: True, _run_1_1),
+    "1.1": _Claim(1, lambda params: True, _run_rho_phi),
     "1.2A": _sieved("1.2A", _run_1_2a),
     "1.2B": _sieved("1.2B", _exact_order(PHI, 0)),
     "1.2C": _sieved("1.2C", _exact_order(PHI, 1)),
@@ -472,7 +479,7 @@ _CLAIMS: dict[str, _Claim] = {
     "1.4ex": _sieved("1.4ex", _exact_order(PHI_HAT, 3)),
     "1.5A": _sieved("1.5A", _run_1_5a),
     "1.5B": _sieved("1.5B", _both_exact(1, 3, 2)),
-    "1.6": _Claim(-1, lambda params: True, _run_1_6),
+    "1.6": _Claim(-1, lambda params: True, _run_rho_phi),
     "1.7A": _sieved("1.7A", _run_1_7a),
     "1.7B": _sieved("1.7B", _exact_order(PHI, 1)),
     "1.8": _Claim(-1, lambda params: True, _run_rho_prime),
@@ -494,7 +501,8 @@ def verify_theorem(params: FamilyParams, theorem_id: str) -> TheoremReport:
         return TheoremReport(
             theorem_id, params, False, "hypotheses not satisfied", {}, "not-applicable"
         )
-    claimed, observed, ok, branch = claim.run(params, _Groups(params))
+    groups = cache(lambda kind: compute_selmer(params, kind))
+    claimed, observed, ok, branch = claim.run(params, groups)
     return TheoremReport(
         theorem_id,
         params,

@@ -1,7 +1,8 @@
-"""Shared test utilities: deterministic random instance generation."""
+"""Shared test utilities: deterministic random instance generation, a failing verifier."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import twinselmer as ts
@@ -20,6 +21,14 @@ def random_instances(seed: int, count: int, prime_bound: int = 300, max_n: int =
         ds = rng.sample([r for r in pool if r not in (p, q)], n)
         out.append(ts.validate_params(eps, p, q, ds))
     return out
+
+
+def failing_verify(params, theorem_id):
+    """verify_theorem with every applicable verdict turned into fail."""
+    report = ts.verify_theorem(params, theorem_id)
+    if report.verdict == "not-applicable":
+        return report
+    return dataclasses.replace(report, verdict="fail")
 
 
 # find_family(eps, id, n, 500) for every sieveable catalog entry and n = 1, 2:

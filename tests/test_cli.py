@@ -2,7 +2,11 @@
 
 import json
 
-from twinselmer import cli
+import pytest
+
+from twinselmer import cli, search
+
+from helpers import failing_verify
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +105,16 @@ def test_search_none_found(capsys):
     assert code == cli.EXIT_FAILURE and "none" in out
 
 
+def test_search_counterexample_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(search, "verify_theorem", failing_verify)
+    code, out, err = run_cli(
+        capsys, "search", "--epsilon", "+1", "--corollary", "1.2B",
+        "--n", "1", "--bound", "100",
+    )
+    assert code == cli.EXIT_FAILURE and out == ""
+    assert "counterexample: claim 1.2B fails on eps=+1 p=3 q=5 D=61" in err
+
+
 def test_search_target_dim(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--epsilon", "+1", "--target-dim", "4",
@@ -188,3 +202,23 @@ def test_negative_epsilon_parses(capsys):
         "--kind", "phi_hat",
     )
     assert code == cli.EXIT_OK and "dim2=3" in out
+
+
+def test_config_values_pass_flag_checks(capsys, tmp_path):
+    # a config value meets the same type and choices as its flag
+    cfg = tmp_path / "run.cfg"
+    base = ("compute", "--epsilon", "+1", "--p", "3", "--q", "5", "--D", "61")
+    for line, message in (
+        ("format=xml", "invalid choice 'xml'"),
+        ("kind=psi", "invalid choice 'psi'"),
+        ("epsilon=2", "epsilon must be +1 or -1"),
+        ("p=three", "p: invalid literal"),
+    ):
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, *base, "--config", str(cfg))
+        assert code == cli.EXIT_USAGE and out == "", line
+        assert f"{cfg}:1:" in err and message in err, (line, err)
+    # the same value as a flag is refused by argparse with the same status
+    with pytest.raises(SystemExit) as caught:
+        cli.main([*base, "--format", "xml"])
+    assert caught.value.code == cli.EXIT_USAGE

@@ -3,10 +3,11 @@
 import pytest
 
 import twinselmer as ts
-from twinselmer.search import CONSTRAINTS, demonstrate_large_selmer, find_family
+from twinselmer import search
+from twinselmer.search import CONSTRAINTS, ClaimFailedError, demonstrate_large_selmer, find_family
 from twinselmer.theorems import rho_plus, verify_theorem
 
-from helpers import SEARCH_HITS
+from helpers import SEARCH_HITS, failing_verify
 
 
 def test_find_family_examples():
@@ -27,6 +28,17 @@ def test_find_family_hits_verify():
             assert (fam.p, fam.q, fam.d_primes) == SEARCH_HITS[cid, n], (cid, n)
             report = verify_theorem(fam, cid)
             assert report.verdict == "pass", (cid, fam.label(), report)
+
+
+def test_find_family_raises_on_failing_claim(monkeypatch):
+    # a hit whose claim fails is a counterexample, not a found instance
+    monkeypatch.setattr(search, "verify_theorem", failing_verify)
+    with pytest.raises(ClaimFailedError) as caught:
+        find_family(1, "1.2B", 1, 100)
+    report = caught.value.report
+    assert report.verdict == "fail" and report.theorem_id == "1.2B"
+    assert report.params.d_primes == (61,)
+    assert "1.2B" in str(caught.value) and "D=61" in str(caught.value)
 
 
 def test_find_family_deterministic():
