@@ -40,7 +40,6 @@ from .localsolve import (
 from .search import ConstraintSet, demonstrate_large_selmer, find_family
 from .selmer import (
     SelmerGroup,
-    check_group_closure,
     compute_selmer,
     to_jsonable,
 )

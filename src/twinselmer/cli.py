@@ -27,7 +27,7 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 ENV_TIME_BUDGET = "TWINSELMER_TIME_BUDGET"
-CSV_VERSION = "# twinselmer-csv v1"
+CSV_VERSION = "# twinselmer-csv v2"
 DEFAULT_N_CAP = 20
 
 
@@ -169,28 +169,25 @@ def _cmd_compute(args) -> int:
     elif args.format == "csv":
         if args.seed_table:
             rows = []
-            for (value, place), verdict in sorted(
-                group.verdict_table.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-            ):
+            for (place, _), entry in group.local_images().items():
+                verdict = entry.verdict
                 witness = ""
                 if verdict.witness is not None:
                     witness = json.dumps(
                         {k: str(v) for k, v in verdict.witness.items()}, sort_keys=True
                     )
-                rows.append([value, place, verdict.solvable, verdict.search_depth, witness])
-            _emit_csv("verdicts", ["d", "place", "solvable", "search_depth", "witness"], rows)
+                rows.append([place, entry.label, entry.d, verdict.solvable,
+                             verdict.search_depth, witness])
+            _emit_csv("verdicts", ["place", "class", "d", "solvable", "search_depth", "witness"], rows)
         else:
-            members = {cls.value for cls in group.elements}
+            places = params.places()
             rows = []
             for value in sorted(cls.value for cls in enumerate_square_classes(params)):
-                failed = ""
-                if value not in members:
-                    for place in params.places():
-                        verdict = group.verdict_table.get((value, place))
-                        if verdict is not None and not verdict.solvable:
-                            failed = str(place)
-                            break
-                rows.append([value, value in members, failed])
+                member = group.contains_value(value)
+                failed = "" if member else next(
+                    str(place) for place in places if not group.verdict_at(value, place).solvable
+                )
+                rows.append([value, member, failed])
             _emit_csv("selmer", ["d", "member", "failed_place"], rows)
     else:
         print(f"{group.kind} Selmer group for {params.label()}")

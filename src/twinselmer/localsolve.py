@@ -54,6 +54,17 @@ class QlSquareClass:
     unit_tag: int
     is_square: bool
 
+    @property
+    def bits(self) -> int:
+        """GF(2) coordinates in Q_l*/Q_l*^2, a homomorphism of the multiplicative group.
+
+        Bit 0 is the valuation's parity; bit 1 a unit that is a non-residue
+        (odd l, tag -1) or 3 mod 4 (l = 2); bit 2 a unit that is 3 or 5 mod 8
+        (l = 2 only).
+        """
+        tag = self.unit_tag
+        return (self.valuation & 1) | (tag % 4 == 3) << 1 | (tag % 8 in (3, 5)) << 2
+
 
 def square_class_qp(x: int | Fraction, l: int) -> QlSquareClass:
     """Square class of a nonzero rational in Q_l: valuation parity plus unit class."""

@@ -66,14 +66,21 @@ def _pair_ok(a: int, b: int) -> bool:
     return legendre_symbol(a, b) == 1 and legendre_symbol(b, a) == 1
 
 
-def _combos(pool, n, pairwise, chosen=(), start=0):
+def _combos(pool, n, pairwise, deadline, chosen=(), start=0):
+    """Ascending n-subsets of pool, pairwise-pruned; stops early once deadline expires.
+
+    The pruned backtracking can run for minutes between two yields, so the
+    deadline is checked at every node, not only between combos.
+    """
     if len(chosen) == n:
         yield chosen
         return
     for idx in range(start, len(pool)):
+        if deadline.expired():
+            return
         cand = pool[idx]
         if not pairwise or all(_pair_ok(cand, c) for c in chosen):
-            yield from _combos(pool, n, pairwise, chosen + (cand,), idx + 1)
+            yield from _combos(pool, n, pairwise, deadline, chosen + (cand,), idx + 1)
 
 
 def find_family(
@@ -113,11 +120,8 @@ def find_family(
         pool = [r for r in base_pool if r not in (p, q) and cs.d_ok(r, p, q)]
         if len(pool) < n:
             continue
-        for combo in _combos(pool, n, cs.pairwise_one):
+        for combo in _combos(pool, n, cs.pairwise_one, deadline):
             tested += 1
-            if deadline.expired():
-                _note(progress, f"time budget exhausted after {tested} candidate sets")
-                return None
             if not cs.set_ok(p, combo):
                 continue
             params = validate_params(epsilon, p, q, combo)
@@ -127,7 +131,10 @@ def find_family(
             if report.verdict != "not-applicable":
                 _note(progress, f"hit {params.label()} after {tested} candidate sets")
                 return params
-    _note(progress, f"bound exhausted after {tested} candidate sets")
+    if deadline.expired():
+        _note(progress, f"time budget exhausted after {tested} candidate sets")
+    else:
+        _note(progress, f"bound exhausted after {tested} candidate sets")
     return None
 
 

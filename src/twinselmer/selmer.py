@@ -1,51 +1,173 @@
-"""Selmer groups computed by everywhere-local filtering of square classes.
+"""Selmer groups as the kernel of the local-image map over GF(2).
 
-A class d belongs to the group exactly when its descent quartic has points
-in every completion at the bad places.  The full square-class group is
-enumerated (no generator chasing), so group closure of the result is a
-genuine cross-check on the oracle.
+A class d on the basis (-1, 2, p, q, D_1..D_n) belongs to the group exactly
+when its descent quartic has points in every completion at the bad places.
+Solvability at a place v depends only on the class of d in Q_v*/Q_v*^2,
+because z -> u*z maps C_{d*u^2} onto C_d, and the classes where it holds
+form a subgroup there (Silverman, AEC X.4).  So the engine maps the basis
+into Q_v*/Q_v*^2 (rank 1 at infinity, 2 at odd l, 3 at l = 2) and, place by
+place, decides one representative d per local class reached by the classes
+that passed every earlier place (at most 2 + 8 + 4(n + 2) oracle calls per
+group).  It checks that the solvable classes form a subgroup, and the
+survivors are the kernel of the stacked annihilators of those subgroups.
+The 2^(n+4) square classes are never enumerated; elements are listed from
+the basis when first asked for.  A class no survivor reaches is skipped:
+at a large prime an unsolvable class costs a scan of every residue.
+
+A local class is an int of GF(2) coordinates: the sign at infinity, and
+QlSquareClass.bits at a prime.  The verdict table maps (place, local class)
+to the representative's verdict; verdict_at reads it for any d, and
+local_images lists every class the basis reaches, deciding the skipped
+ones once each.  In the JSON and CSV outputs a class is labelled "sign=+1"
+/ "sign=-1" at infinity and "val=<valuation mod 2>,unit=<tag>" at a prime,
+the tag being the unit's Legendre symbol at odd l and its residue mod 8 at
+l = 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .family import (
+    INF_PLACE,
     PHI,
     PHI_HAT,
     FamilyParams,
     SquareClass,
     build_space,
-    enumerate_square_classes,
+    class_of_integer,
+    enumerate_square_classes,  # noqa: F401  (audit_params and the CLI enumerate through selmer)
 )
-from .localsolve import LocalVerdict, local_verdict
+from .localsolve import LocalVerdict, local_verdict, square_class_qp
+
+
+def local_class(x: int, place) -> int:
+    """GF(2) coordinates of the nonzero integer x in Q_v*/Q_v*^2."""
+    if place == INF_PLACE:
+        return int(x < 0)
+    return square_class_qp(x, place).bits
+
+
+def _columns(params: FamilyParams, place) -> list[int]:
+    """Local class of each generator (-1, 2, p, q, D_1..D_n) at place."""
+    return [local_class(g, place) for g in params.basis()]
+
+
+def _image(columns, bits: int) -> int:
+    """Local class of the square class with these bits, given each generator's class."""
+    c = 0
+    for j, col in enumerate(columns):
+        if (bits >> j) & 1:
+            c ^= col
+    return c
+
+
+def _class_reps(columns) -> dict[int, int]:
+    """Every class in the span of columns, with the bits of a representative.
+
+    A class's representative uses the earliest columns that reach it, so
+    every caller picks the same one.
+    """
+    reps = {0: 0}
+    for j, col in enumerate(columns):
+        if col not in reps:
+            reps.update({c ^ col: r | 1 << j for c, r in reps.items()})
+    return reps
+
+
+@dataclass(frozen=True)
+class ClassVerdict:
+    """Oracle verdict for one local class, decided on its representative d."""
+
+    d: int
+    verdict: LocalVerdict
+
+    @property
+    def label(self) -> str:
+        place = self.verdict.place
+        if place == INF_PLACE:
+            return "sign=-1" if self.d < 0 else "sign=+1"
+        cls = square_class_qp(self.d, place)
+        return f"val={cls.valuation % 2},unit={cls.unit_tag}"
+
+
+def _decide(table: dict, params: FamilyParams, kind: str, place, c: int, reps=None) -> ClassVerdict:
+    """Table entry of local class c at place; the oracle decides it on its representative once.
+
+    reps is _class_reps of the place's columns, computed here when not given.
+    """
+    entry = table.get((place, c))
+    if entry is None:
+        if reps is None:
+            reps = _class_reps(_columns(params, place))
+        d = SquareClass(reps[c], params.basis()).value
+        entry = table[(place, c)] = ClassVerdict(d, local_verdict(build_space(params, d, kind), place))
+    return entry
 
 
 @dataclass(frozen=True)
 class SelmerGroup:
-    """One descent Selmer group with its membership audit trail.
+    """One descent Selmer group: its reduced GF(2) basis and the local verdicts behind it.
 
-    verdict_table maps (class value, place) to the oracle verdict; members
-    carry verdicts at every place, non-members at least their failing place.
+    verdict_table maps (place, local class) to its ClassVerdict.  It holds
+    the classes the kernel needed: at each place, those reached by the
+    classes that passed every earlier place.  So members have verdicts at
+    every place, and non-members up to their first failing place.
+    verdict_at and local_images decide the other classes the basis reaches,
+    once each, and add them to the table.
     """
 
     kind: str
     params: FamilyParams
-    elements: tuple[SquareClass, ...]
     basis: tuple[SquareClass, ...]
-    dim2: int
     verdict_table: dict
 
     @property
+    def dim2(self) -> int:
+        return len(self.basis)
+
+    @property
     def order(self) -> int:
-        return len(self.elements)
+        return 1 << self.dim2
+
+    @cached_property
+    def elements(self) -> tuple[SquareClass, ...]:
+        """Every member in ascending bit order: the span of the basis, built on first use."""
+        span = [0]
+        for b in self.basis:
+            span += [x ^ b.bits for x in span]
+        generators = self.params.basis()
+        return tuple(SquareClass(bits, generators) for bits in sorted(span))
 
     def element_values(self) -> list[int]:
         return sorted(cls.value for cls in self.elements)
 
     def contains_value(self, v: int) -> bool:
-        return any(cls.value == v for cls in self.elements)
+        """Span membership of v's class; False when v is not a class on the basis."""
+        try:
+            bits = class_of_integer(self.params, v).bits
+        except ValueError:
+            return False
+        for b in self.basis:  # reduced rows: each pivot (lowest bit) is in one row only
+            if bits & b.bits & -b.bits:
+                bits ^= b.bits
+        return bits == 0
+
+    def verdict_at(self, d: int, place) -> LocalVerdict:
+        """The oracle verdict at place for any d on the basis: that of d's local class."""
+        c = local_class(d, place)
+        return _decide(self.verdict_table, self.params, self.kind, place, c).verdict
+
+    def local_images(self) -> dict:
+        """ClassVerdict of every class the basis reaches, in place order, then class order."""
+        out = {}
+        for place in self.params.places():
+            reps = _class_reps(_columns(self.params, place))
+            for c in sorted(reps):
+                out[(place, c)] = _decide(self.verdict_table, self.params, self.kind, place, c, reps)
+        return out
 
 
 def gf2_rref(rows) -> list[int]:
@@ -68,42 +190,47 @@ def gf2_rref(rows) -> list[int]:
     return [pivots[pos] for pos in sorted(pivots)]
 
 
-def check_group_closure(elements) -> bool:
-    """True iff the set of classes contains the identity and is XOR-closed."""
-    classes = list(elements)
-    if not classes:
-        return False
-    basis = classes[0].basis
-    bits = {cls.bits for cls in classes}
-    if 0 not in bits or any(cls.basis != basis for cls in classes):
-        return False
-    return all(a ^ b in bits for a in bits for b in bits)
+def _kernel(rows, width: int) -> list[int]:
+    """Basis of the x in GF(2)^width with an even overlap with every row."""
+    pivots = {(r & -r).bit_length() - 1: r for r in gf2_rref(rows)}
+    out = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        x = 1 << free
+        for pos, r in pivots.items():
+            if (r >> free) & 1:
+                x |= 1 << pos
+        out.append(x)
+    return out
 
 
 def compute_selmer(params: FamilyParams, kind: str) -> SelmerGroup:
-    """Filter the square-class group through the local oracle at every bad place."""
+    """Kernel of the local-image map, deciding one class per (place, local class) at most."""
     if kind not in (PHI, PHI_HAT):
         raise ValueError(f"kind must be {PHI!r} or {PHI_HAT!r}, got {kind!r}")
-    places = params.places()
-    members: list[SquareClass] = []
+    generators = params.basis()
     table: dict = {}
-    for cls in enumerate_square_classes(params):
-        space = build_space(params, cls, kind)
-        ok = True
-        for place in places:
-            verdict = local_verdict(space, place)
-            table[(cls.value, place)] = verdict
-            if not verdict.solvable:
-                ok = False
-                break
-        if ok:
-            members.append(cls)
-    basis_bits = gf2_rref(cls.bits for cls in members)
-    dim2 = len(basis_bits)
-    assert len(members) == 1 << dim2, "member set must be a subgroup"
-    assert check_group_closure(members), "member set must be XOR-closed"
-    basis = tuple(SquareClass(b, params.basis()) for b in basis_bits)
-    return SelmerGroup(kind, params, tuple(members), basis, dim2, table)
+    rows = []
+    survivors = [1 << j for j in range(len(generators))]  # basis of the classes passing so far
+    for place in params.places():
+        columns = _columns(params, place)
+        reps = _class_reps(columns)
+        reached = _class_reps([_image(columns, x) for x in survivors])
+        solvable = {
+            c for c in sorted(reached) if _decide(table, params, kind, place, c, reps).verdict.solvable
+        }
+        assert 0 in solvable and all(
+            a ^ b in solvable for a in solvable for b in solvable
+        ), f"solvable local classes at {place} must form a subgroup"
+        # a survivor passes at place iff every functional vanishing on the
+        # solvable classes vanishes on its class
+        for f in range(1, 8):
+            if not any((f & s).bit_count() & 1 for s in solvable):
+                rows.append(sum(((f & col).bit_count() & 1) << j for j, col in enumerate(columns)))
+        survivors = _kernel(rows, len(generators))
+    basis = tuple(SquareClass(b, generators) for b in gf2_rref(survivors))
+    return SelmerGroup(kind, params, basis, table)
 
 
 def _jsonable_witness(witness: dict | None):
@@ -115,18 +242,14 @@ def _jsonable_witness(witness: dict | None):
     return out
 
 
-def _jsonable_verdict(verdict: LocalVerdict) -> dict:
-    return {
-        "solvable": verdict.solvable,
-        "search_depth": verdict.search_depth,
-        "witness": _jsonable_witness(verdict.witness),
-    }
-
-
 def to_jsonable(group: SelmerGroup, include_table: bool = False) -> dict:
-    """Stable dict form of a SelmerGroup (sorted keys give byte-stable JSON)."""
+    """Stable dict form of a SelmerGroup (sorted keys give byte-stable JSON).
+
+    include_table adds local_images(): every (place, local class) the basis
+    reaches, keyed by place and class label.
+    """
     out = {
-        "schema": "twinselmer/selmer-v2",
+        "schema": "twinselmer/selmer-v3",
         "kind": group.kind,
         "params": group.params.as_dict(),
         "dim2": group.dim2,
@@ -136,7 +259,13 @@ def to_jsonable(group: SelmerGroup, include_table: bool = False) -> dict:
     }
     if include_table:
         table: dict[str, dict] = {}
-        for (value, place), verdict in group.verdict_table.items():
-            table.setdefault(str(value), {})[str(place)] = _jsonable_verdict(verdict)
+        for (place, _), entry in group.local_images().items():
+            verdict = entry.verdict
+            table.setdefault(str(place), {})[entry.label] = {
+                "d": entry.d,
+                "solvable": verdict.solvable,
+                "search_depth": verdict.search_depth,
+                "witness": _jsonable_witness(verdict.witness),
+            }
         out["verdicts"] = table
     return out

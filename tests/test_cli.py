@@ -1,10 +1,12 @@
 """Command-line interface: formats, exit codes, config handling."""
 
 import json
+import time
 
 import pytest
 
 from twinselmer import cli, search
+from twinselmer.arith import primes_up_to
 
 from helpers import failing_verify
 
@@ -42,7 +44,7 @@ def test_compute_csv_schema(capsys):
     )
     assert code == cli.EXIT_OK
     lines = out.splitlines()
-    assert lines[0] == "# twinselmer-csv v1 selmer"
+    assert lines[0] == "# twinselmer-csv v2 selmer"
     assert lines[1] == "d,member,failed_place"
     assert "61,True," in out
 
@@ -52,11 +54,40 @@ def test_compute_seed_table(capsys):
         capsys, "compute", "--epsilon", "+1", "--p", "3", "--q", "5",
         "--D", "61", "--seed-table", "--format", "json",
     )
+    assert code == cli.EXIT_OK
     payload = json.loads(out)
+    assert payload["schema"] == "twinselmer/selmer-v3"
     verdicts = payload["verdicts"]
-    # members carry a verdict at every place
-    assert set(verdicts["1"]) == {"inf", "2", "3", "5", "61"}
-    assert verdicts["61"]["61"]["solvable"] is True
+    # one verdict per (place, local class), each with its representative d
+    assert set(verdicts) == {"inf", "2", "3", "5", "61"}
+    assert set(verdicts["inf"]) == {"sign=+1", "sign=-1"}
+    assert len(verdicts["2"]) == 8
+    assert verdicts["61"]["val=1,unit=1"]["d"] == 61
+    assert verdicts["61"]["val=1,unit=1"]["solvable"] is True
+    code, out, _ = run_cli(
+        capsys, "compute", "--epsilon", "+1", "--p", "3", "--q", "5",
+        "--D", "61", "--seed-table", "--format", "csv",
+    )
+    lines = out.splitlines()
+    assert lines[:2] == ["# twinselmer-csv v2 verdicts", "place,class,d,solvable,search_depth,witness"]
+    assert len(lines) == 2 + sum(len(classes) for classes in verdicts.values())
+    assert lines[2].startswith("inf,sign=+1,1,True,0,")
+
+
+def test_compute_reaches_the_n_cap(capsys):
+    # the default cap of 20 D primes is usable: each kind well under 5 s
+    primes = [r for r in primes_up_to(200) if r > 7][:20]
+    for kind in ("phi", "phi_hat"):
+        t0 = time.monotonic()
+        code, out, _ = run_cli(
+            capsys, "compute", "--epsilon", "+1", "--p", "5", "--q", "7",
+            "--D", ",".join(map(str, primes)), "--kind", kind, "--format", "json",
+        )
+        elapsed = time.monotonic() - t0
+        assert code == cli.EXIT_OK and elapsed < 5.0, (kind, elapsed)
+        payload = json.loads(out)
+        assert len(payload["params"]["d_primes"]) == cli.DEFAULT_N_CAP
+        assert payload["order"] == len(payload["elements"]) == 1 << payload["dim2"]
 
 
 def test_verify_pass_and_strictness(capsys):

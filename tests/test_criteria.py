@@ -1,6 +1,7 @@
 """Closed-form criteria: rule values, membership, and agreement with the oracle."""
 
 import twinselmer as ts
+from twinselmer import selmer
 from twinselmer.criteria import (
     alpha_minus_pq,
     audit_params,
@@ -9,6 +10,7 @@ from twinselmer.criteria import (
     membership_closed_form,
 )
 from twinselmer.family import validate_params
+from twinselmer.localsolve import local_verdict
 from twinselmer.theorems import pi_plus
 
 from helpers import random_instances
@@ -102,3 +104,21 @@ def test_forced_point_rule_matches_oracle():
         assert d in group.element_values()
         v = closed_form_local(params, ts.PHI_HAT, ts.class_of_integer(params, d), 11)
         assert v.applicable and v.solvable is True and v.rule_id == "C':rational-point"
+
+
+def test_audit_reads_the_oracle_by_local_class(monkeypatch):
+    params = validate_params(-1, 5, 7, [11, 13, 17])
+    groups = {kind: ts.compute_selmer(params, kind) for kind in (ts.PHI, ts.PHI_HAT)}
+    decided = sum(len(g.verdict_table) for g in groups.values())
+    calls = []
+
+    def counting(space, place):
+        calls.append(place)
+        return local_verdict(space, place)
+
+    monkeypatch.setattr(selmer, "local_verdict", counting)
+    assert audit_params(params, groups) == []
+    # one call per local class the kernel left undecided, none per d: the
+    # audit covers 2^7 classes at 8 places for each kind
+    assert len(calls) == sum(len(g.verdict_table) for g in groups.values()) - decided
+    assert len(calls) <= 2 * (2 + 8 + 4 * (params.n + 2))

@@ -1,5 +1,7 @@
 """Instance search: sieving determinism, stacking, budgets."""
 
+import time
+
 import pytest
 
 import twinselmer as ts
@@ -61,6 +63,18 @@ def test_find_family_budget_expires():
     fam = find_family(1, "1.2B", 1, 100, time_budget=0.0, progress=notes.append)
     assert fam is None
     assert any("budget" in msg for msg in notes)
+
+
+def test_find_family_budget_holds_inside_the_pruned_search():
+    # 12 pairwise-QR primes: the backtracking finds no candidate set for
+    # minutes, so the budget must be checked at every node it visits, not
+    # only between the sets it yields
+    notes = []
+    t0 = time.monotonic()
+    fam = find_family(1, "1.2A", 12, 10**4, time_budget=1, progress=notes.append)
+    elapsed = time.monotonic() - t0
+    assert fam is None and elapsed < 5, elapsed
+    assert notes == ["time budget exhausted after 0 candidate sets"]
 
 
 def test_demonstrate_small_targets():

@@ -1,12 +1,17 @@
-"""Selmer group computation: goldens, group structure, caps, audit trail."""
+"""Selmer group computation: goldens, group structure, caps, audit trail, reference engine."""
+
+import time
 
 import pytest
 
 import twinselmer as ts
-from twinselmer.family import validate_params
-from twinselmer.selmer import check_group_closure, compute_selmer, gf2_rref, to_jsonable
+from twinselmer import selmer
+from twinselmer.family import build_space, validate_params
+from twinselmer.localsolve import local_verdict
+from twinselmer.selmer import compute_selmer, gf2_rref, local_class, to_jsonable
 
 from helpers import random_instances
+from reference_selmer import check_group_closure, enumerate_selmer
 
 
 def test_golden_phi_d61():
@@ -63,21 +68,101 @@ def test_gf2_rref():
 
 
 def test_verdict_table_records_membership_and_failures():
-    params = validate_params(1, 3, 5, [7])
-    group = compute_selmer(params, ts.PHI)
-    members = {cls.value for cls in group.elements}
-    for cls in ts.enumerate_square_classes(params):
-        if cls.value in members:
+    for params in (validate_params(1, 3, 5, [7]), validate_params(-1, 5, 7, [11, 13])):
+        for kind in (ts.PHI, ts.PHI_HAT):
+            group = compute_selmer(params, kind)
+            table = dict(group.verdict_table)
+            # each entry is its class's verdict, decided on a representative
+            for (place, cls), entry in table.items():
+                assert local_class(entry.d, place) == cls
+                assert entry.verdict.place == place
+                assert local_verdict(build_space(params, entry.d, kind), place) == entry.verdict
+            # members carry a verdict at every place, non-members up to and
+            # including their first failing place
+            members = set(group.element_values())
+            for cls in ts.enumerate_square_classes(params):
+                d = cls.value
+                failed = None
+                for place in params.places():
+                    verdict = table[(place, local_class(d, place))].verdict
+                    if not verdict.solvable:
+                        failed = place
+                        break
+                assert (d in members) == (failed is None), (d, failed)
+                assert group.contains_value(d) == (d in members)
+            # the full local images keep every entry the kernel decided
+            images = group.local_images()
+            assert all(images[key] is entry for key, entry in table.items())
+            assert group.verdict_table == images
+
+
+def test_kernel_matches_enumerating_reference():
+    # the enumerating engine tests every class at every place and assumes no
+    # local-class structure; both engines must give the same group exactly
+    instances = random_instances(seed=777, count=80, prime_bound=300, max_n=3)
+    instances += random_instances(seed=778, count=80, prime_bound=300, max_n=3)
+    assert {params.epsilon for params in instances} == {1, -1}
+    assert {params.n for params in instances} == {1, 2, 3}
+    for params in instances:
+        for kind in (ts.PHI, ts.PHI_HAT):
+            group = compute_selmer(params, kind)
+            members, basis = enumerate_selmer(params, kind)
+            assert group.element_values() == sorted(cls.value for cls in members), (params, kind)
+            assert [b.bits for b in group.basis] == basis, (params, kind)
+            assert group.elements == tuple(members)
+
+
+def test_verdict_constant_on_local_classes():
+    # the audit and the CLI read the oracle side of every d from the table
+    # entry of d's local class; that is sound only if the verdict depends on
+    # nothing else
+    for params in random_instances(seed=909, count=12, prime_bound=200, max_n=3):
+        for kind in (ts.PHI, ts.PHI_HAT):
+            group = compute_selmer(params, kind)
+            for cls in ts.enumerate_square_classes(params):
+                space = build_space(params, cls, kind)
+                for place in params.places():
+                    want = group.verdict_at(cls.value, place).solvable
+                    assert local_verdict(space, place).solvable == want, (params, kind, cls, place)
+
+
+def test_solvable_local_classes_form_subgroup():
+    for params in random_instances(seed=910, count=30, prime_bound=300, max_n=3):
+        for kind in (ts.PHI, ts.PHI_HAT):
+            images = compute_selmer(params, kind).local_images()
             for place in params.places():
-                assert group.verdict_table[(cls.value, place)].solvable
-        else:
-            failed = [
-                place
-                for place in params.places()
-                if (cls.value, place) in group.verdict_table
-                and not group.verdict_table[(cls.value, place)].solvable
-            ]
-            assert failed, f"non-member {cls.value} must record a failing place"
+                image = {c for (v, c) in images if v == place}
+                solvable = {c for c in image if images[(place, c)].verdict.solvable}
+                assert all(a ^ b in image for a in image for b in image)
+                assert 0 in solvable
+                assert all(a ^ b in solvable for a in solvable for b in solvable)
+                # rank of Q_v*/Q_v*^2: 1 at infinity, 3 at 2, 2 at odd l; the
+                # basis reaches both signs and, at a prime, an odd valuation
+                rank = {ts.INF_PLACE: 1, 2: 3}.get(place, 2)
+                assert 1 in image and len(image) <= 1 << rank, (params, place, image)
+
+
+def test_oracle_calls_per_group(monkeypatch):
+    # at most 2 + 8 + 4(n + 2) oracle calls, and no class enumeration
+    calls = []
+
+    def counting(space, place):
+        calls.append(place)
+        return local_verdict(space, place)
+
+    def refuse(params):
+        raise AssertionError("compute_selmer must not enumerate square classes")
+
+    monkeypatch.setattr(selmer, "local_verdict", counting)
+    monkeypatch.setattr(selmer, "enumerate_square_classes", refuse)
+    primes = [r for r in ts.arith.primes_up_to(200) if r > 7][:20]
+    for n in (1, 5, 20):
+        params = validate_params(1, 5, 7, primes[:n])
+        for kind in (ts.PHI, ts.PHI_HAT):
+            calls.clear()
+            group = compute_selmer(params, kind)
+            assert len(calls) <= 2 + 8 + 4 * (n + 2)
+            assert group.order == 1 << group.dim2
 
 
 def test_forced_subgroup_and_caps():
@@ -115,4 +200,10 @@ def test_jsonable_shape():
     assert payload["dim2"] == 1 and payload["order"] == 2
     assert "verdicts" not in payload
     full = to_jsonable(group, include_table=True)
-    assert full["verdicts"]["1"]["inf"]["solvable"] is True
+    assert full["schema"] == "twinselmer/selmer-v3"
+    assert full["verdicts"]["inf"]["sign=+1"] == {
+        "d": 1, "solvable": True, "search_depth": 0, "witness": {"type": "real_sign", "s": "0"}
+    }
+    # 61 is the representative of its own class at 61: valuation 1, unit 1
+    assert full["verdicts"]["61"]["val=1,unit=1"]["d"] == 61
+    assert set(full["verdicts"]) == {"inf", "2", "3", "5", "61"}
