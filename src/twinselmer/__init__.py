@@ -32,10 +32,10 @@ from .family import (
 from .localsolve import (
     LocalVerdict,
     OracleUndecidedError,
+    local_class,
     local_verdict,
     padic_solvable,
     real_solvable,
-    square_class_qp,
 )
 from .search import ConstraintSet, demonstrate_large_selmer, find_family
 from .selmer import (

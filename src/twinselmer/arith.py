@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 # Fixed Miller-Rabin witness set. Deterministic for every n below
@@ -64,51 +62,13 @@ def legendre_symbol(a: int, l: int) -> int:
 
 
 def _int_valuation(m: int, l: int) -> int:
+    """Exponent of the prime l in the integer m; m must be nonzero, or this never returns."""
     m = abs(m)
     v = 0
     while m % l == 0:
         m //= l
         v += 1
     return v
-
-
-def padic_valuation(x: int | Fraction, l: int) -> int:
-    """Exponent of the prime l in the nonzero rational x."""
-    if x == 0:
-        raise ValueError("valuation of 0 is infinite")
-    if l < 2:
-        raise ValueError(f"not a prime: {l}")
-    if isinstance(x, Fraction):
-        return _int_valuation(x.numerator, l) - _int_valuation(x.denominator, l)
-    return _int_valuation(x, l)
-
-
-@dataclass(frozen=True)
-class UnitSquareClass:
-    """Square-class tag of an l-adic unit.
-
-    For odd l the tag is the Legendre symbol (+1 or -1); for l = 2 it is the
-    residue mod 8, and the unit is a square exactly when that residue is 1.
-    """
-
-    is_square: bool
-    tag: int
-
-
-def unit_square_class(u: int | Fraction, l: int) -> UnitSquareClass:
-    """Square class of the l-adic unit u; rejects non-units."""
-    if isinstance(u, Fraction):
-        num, den = u.numerator, u.denominator
-    else:
-        num, den = u, 1
-    if num == 0 or num % l == 0 or den % l == 0:
-        raise ValueError(f"{u} is not an l-adic unit at l={l}")
-    if l == 2:
-        # an odd x is its own inverse mod 8, so num/den mod 8 = num*den mod 8
-        tag = (num * den) % 8
-        return UnitSquareClass(tag == 1, tag)
-    s = legendre_symbol(num, l) * legendre_symbol(den, l)
-    return UnitSquareClass(s == 1, s)
 
 
 def crt_solve(congruences) -> tuple[int, int] | None:

@@ -220,7 +220,7 @@ def audit_params(params: FamilyParams, groups=None) -> list[dict]:
         for cls in selmer.enumerate_square_classes(params):
             dv = cls.value
             for place in params.places():
-                cf = closed_form_local(params, kind, cls, place)
+                cf = closed_form_local(params, kind, dv, place)
                 if not cf.applicable:
                     continue
                 verdict = group.verdict_at(dv, place)

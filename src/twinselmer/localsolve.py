@@ -21,6 +21,11 @@ y mod l:
 
 Every subtree dies or certifies at bounded depth because g is separable;
 the hard cap below is generous, and hitting it raises instead of guessing.
+
+local_class is the one map from a nonzero integer to its class in
+Q_v*/Q_v*^2, as an int of GF(2) coordinates: the sign at infinity, and at a
+prime the valuation's parity and the unit's class.  Solvability at v
+depends only on that class, so the Selmer engine keys its verdicts by it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import _int_valuation, padic_valuation, unit_square_class
+from .arith import _int_valuation, legendre_symbol
 from .family import INF_PLACE, HomogeneousSpace
 
 _DEPTH_MARGIN = 8
@@ -48,30 +53,25 @@ class LocalVerdict:
     search_depth: int
 
 
-@dataclass(frozen=True)
-class QlSquareClass:
-    valuation: int
-    unit_tag: int
-    is_square: bool
+def local_class(x: int, place) -> int:
+    """GF(2) coordinates of the nonzero integer x in Q_v*/Q_v*^2, a homomorphism.
 
-    @property
-    def bits(self) -> int:
-        """GF(2) coordinates in Q_l*/Q_l*^2, a homomorphism of the multiplicative group.
-
-        Bit 0 is the valuation's parity; bit 1 a unit that is a non-residue
-        (odd l, tag -1) or 3 mod 4 (l = 2); bit 2 a unit that is 3 or 5 mod 8
-        (l = 2 only).
-        """
-        tag = self.unit_tag
-        return (self.valuation & 1) | (tag % 4 == 3) << 1 | (tag % 8 in (3, 5)) << 2
-
-
-def square_class_qp(x: int | Fraction, l: int) -> QlSquareClass:
-    """Square class of a nonzero rational in Q_l: valuation parity plus unit class."""
-    v = padic_valuation(x, l)
-    unit = Fraction(x) / Fraction(l) ** v
-    cls = unit_square_class(unit, l)
-    return QlSquareClass(v, cls.tag, v % 2 == 0 and cls.is_square)
+    At infinity the one bit is the sign.  At a prime l, bit 0 is the
+    valuation's parity; bit 1 marks a unit part that is a non-residue (odd l)
+    or 3 mod 4 (l = 2); bit 2 a unit part that is 3 or 5 mod 8 (l = 2 only).
+    """
+    if x == 0:
+        raise ValueError("0 has no square class")
+    if place == INF_PLACE:
+        return int(x < 0)
+    if place < 2:
+        raise ValueError(f"not a prime: {place}")
+    v = _int_valuation(x, place)
+    u = x // place**v
+    if place == 2:
+        u &= 7
+        return v & 1 | (u & 3 == 3) << 1 | (u in (3, 5)) << 2
+    return v & 1 | (legendre_symbol(u, place) == -1) << 1
 
 
 def _rational_witness(space: HomogeneousSpace, z: Fraction, w: Fraction) -> dict:

@@ -14,13 +14,14 @@ The 2^(n+4) square classes are never enumerated; elements are listed from
 the basis when first asked for.  A class no survivor reaches is skipped:
 at a large prime an unsolvable class costs a scan of every residue.
 
-A local class is an int of GF(2) coordinates: the sign at infinity, and
-QlSquareClass.bits at a prime.  The verdict table maps (place, local class)
-to the representative's verdict; verdict_at reads it for any d, and
-local_images lists every class the basis reaches, deciding the skipped
-ones once each.  In the JSON and CSV outputs a class is labelled "sign=+1"
-/ "sign=-1" at infinity and "val=<valuation mod 2>,unit=<tag>" at a prime,
-the tag being the unit's Legendre symbol at odd l and its residue mod 8 at
+A local class is an int of GF(2) coordinates, localsolve.local_class: the
+sign at infinity, and at a prime the valuation's parity and the unit's
+class.  The verdict table maps (place, local class) to the representative's
+verdict; verdict_at reads it for any d, and local_images lists every class
+the basis reaches, deciding the skipped ones once each.  In the JSON and CSV
+outputs a class is labelled "sign=+1" / "sign=-1" at infinity and
+"val=<valuation mod 2>,unit=<tag>" at a prime, both read off the class bits:
+the tag is the unit's Legendre symbol at odd l and its residue mod 8 at
 l = 2.
 """
 
@@ -38,16 +39,9 @@ from .family import (
     SquareClass,
     build_space,
     class_of_integer,
-    enumerate_square_classes,  # noqa: F401  (audit_params and the CLI enumerate through selmer)
+    enumerate_square_classes,  # noqa: F401  (audit_params enumerates through selmer)
 )
-from .localsolve import LocalVerdict, local_verdict, square_class_qp
-
-
-def local_class(x: int, place) -> int:
-    """GF(2) coordinates of the nonzero integer x in Q_v*/Q_v*^2."""
-    if place == INF_PLACE:
-        return int(x < 0)
-    return square_class_qp(x, place).bits
+from .localsolve import LocalVerdict, local_class, local_verdict
 
 
 def _columns(params: FamilyParams, place) -> list[int]:
@@ -87,10 +81,12 @@ class ClassVerdict:
     @property
     def label(self) -> str:
         place = self.verdict.place
+        c = local_class(self.d, place)
         if place == INF_PLACE:
-            return "sign=-1" if self.d < 0 else "sign=+1"
-        cls = square_class_qp(self.d, place)
-        return f"val={cls.valuation % 2},unit={cls.unit_tag}"
+            return "sign=-1" if c else "sign=+1"
+        # bits 1 and 2 give the Legendre symbol at odd l, the residue mod 8 at 2
+        unit = (1, 7, 5, 3)[c >> 1] if place == 2 else 1 - (c & 2)
+        return f"val={c & 1},unit={unit}"
 
 
 def _decide(table: dict, params: FamilyParams, kind: str, place, c: int, reps=None) -> ClassVerdict:

@@ -1,7 +1,6 @@
-"""Integer kernel tests: symbols, valuations, primality, CRT."""
+"""Integer kernel tests: symbols, primality, CRT."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -73,27 +72,6 @@ def test_legendre_rejects_bad_modulus():
         arith.legendre_symbol(3, 4)
 
 
-def test_padic_valuation():
-    assert arith.padic_valuation(8, 2) == 3
-    assert arith.padic_valuation(Fraction(7, 4), 2) == -2
-    assert arith.padic_valuation(45, 3) == 2
-    assert arith.padic_valuation(7, 5) == 0
-    with pytest.raises(ValueError):
-        arith.padic_valuation(0, 2)
-
-
-def test_padic_valuation_multiplicative():
-    rng = random.Random(5)
-    for _ in range(200):
-        l = rng.choice((2, 3, 5, 7))
-        a = Fraction(rng.randrange(1, 500), rng.randrange(1, 500))
-        b = Fraction(rng.randrange(1, 500), rng.randrange(1, 500))
-        assert arith.padic_valuation(a * b, l) == arith.padic_valuation(
-            a, l
-        ) + arith.padic_valuation(b, l)
-    assert arith.padic_valuation(2, 2) == 1
-
-
 def test_is_twin_pair():
     assert arith.is_twin_pair(3, 5)
     assert not arith.is_twin_pair(5, 9)
@@ -143,28 +121,6 @@ def test_crt_solve_satisfies_congruences():
 def test_crt_solve_non_coprime_consistent():
     assert arith.crt_solve([(2, 4), (2, 6)]) == (2, 12)
     assert arith.crt_solve([(2, 4), (3, 6)]) is None
-
-
-def test_unit_square_class_at_two():
-    assert arith.unit_square_class(17, 2) == arith.UnitSquareClass(True, 1)
-    cls = arith.unit_square_class(5, 2)
-    assert not cls.is_square and cls.tag == 5
-    assert arith.unit_square_class(-7, 2).is_square  # -7 = 1 mod 8
-
-
-def test_unit_square_class_odd():
-    # oracle: 3 = 5^2 mod 11
-    assert 3 in squares_mod(11)
-    assert arith.unit_square_class(3, 11).is_square
-    assert not arith.unit_square_class(2, 11).is_square
-    assert arith.unit_square_class(Fraction(3, 4), 11).is_square
-
-
-def test_unit_square_class_rejects_non_unit():
-    with pytest.raises(ValueError):
-        arith.unit_square_class(22, 11)
-    with pytest.raises(ValueError):
-        arith.unit_square_class(Fraction(1, 2), 2)
 
 
 def test_twin_pairs_table():

@@ -1,16 +1,26 @@
-"""Local oracle tests: real sign analysis, p-adic digit search, witnesses."""
+"""Local oracle tests: local square classes, real sign analysis, p-adic digit search, witnesses."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twinselmer as ts
+from twinselmer.arith import _int_valuation, primes_up_to, twin_pairs_up_to
 from twinselmer.family import KIND_C, KIND_CPRIME, HomogeneousSpace, build_space, enumerate_square_classes, validate_params
-from twinselmer.localsolve import padic_solvable, real_solvable, square_class_qp
+from twinselmer.localsolve import local_class, local_verdict, padic_solvable, real_solvable
+from twinselmer.selmer import compute_selmer
 
 from bruteforce_oracle import brute_padic_solvable
 from helpers import random_instances
+
+# derandomized, so every run draws the same examples
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+_PRIMES = primes_up_to(200)
+_PLACES = st.sampled_from([ts.INF_PLACE, *_PRIMES])
+_NONZERO = st.integers(-(10**6), 10**6).filter(bool)
+_SMALL_NONZERO = st.integers(-(10**4), 10**4).filter(bool)
 
 
 def test_real_c_kind_sign_rule():
@@ -74,13 +84,123 @@ def test_padic_visible_point_all_places():
             assert space.d * w * w == space.g(z)
 
 
-def test_square_class_qp():
-    cls = square_class_qp(18, 2)
-    assert (cls.valuation, cls.is_square) == (1, False)
-    assert square_class_qp(17, 2).is_square
-    assert not square_class_qp(12, 3).is_square
-    assert square_class_qp(Fraction(9, 4), 2).is_square
-    assert square_class_qp(Fraction(9, 4), 2).valuation == -2
+def test_local_class():
+    assert local_class(18, 2) == 0b001  # 2 * 9, and 9 = 1 mod 8 is a square
+    assert local_class(17, 2) == 0
+    assert local_class(-7, 2) == 0  # -7 = 1 mod 8
+    assert local_class(5, 2) == 0b100
+    assert local_class(36, 2) == 0
+    assert local_class(12, 3) == 0b01  # 3 * 4
+    assert local_class(3, 11) == 0  # 3 = 5^2 mod 11
+    assert local_class(2, 11) == 0b10
+    assert local_class(-5, ts.INF_PLACE) == 1
+
+
+def test_local_class_rejects_bad_input():
+    for place in (ts.INF_PLACE, 2, 3, 101):
+        with pytest.raises(ValueError):
+            local_class(0, place)
+    for place in (1, 0, -3):
+        with pytest.raises(ValueError):
+            local_class(5, place)
+
+
+@_PROPERTY
+@given(_NONZERO, _NONZERO, _PLACES)
+def test_local_class_is_a_homomorphism(a, b, place):
+    assert local_class(a * b, place) == local_class(a, place) ^ local_class(b, place)
+
+
+@_PROPERTY
+@given(_NONZERO, _PLACES)
+def test_local_class_kills_squares(y, place):
+    assert local_class(y * y, place) == 0
+
+
+@_PROPERTY
+@given(_PLACES)
+def test_local_class_image_is_the_whole_group(place):
+    # Q_v*/Q_v*^2 has 2 classes at infinity, 4 at odd l and 8 at 2, and
+    # 8 * l integers either side of 0 reach every one of them
+    m = 8 * (1 if place == ts.INF_PLACE else place)
+    image = {local_class(x, place) for x in range(-m, m + 1) if x}
+    size = {ts.INF_PLACE: 2, 2: 8}.get(place, 4)
+    assert image == set(range(size)), (place, image)
+
+
+def reference_label(d: int, place) -> str:
+    """Seed-table label of d at place, from the valuation and squares mod l or mod 8."""
+    if place == ts.INF_PLACE:
+        return "sign=-1" if d < 0 else "sign=+1"
+    v = 0
+    while d % place == 0:
+        d //= place
+        v += 1
+    if place == 2:
+        tag = d % 8
+    else:
+        tag = 1 if d % place in {x * x % place for x in range(1, place)} else -1
+    return f"val={v % 2},unit={tag}"
+
+
+def test_labels_match_reference():
+    for params in random_instances(seed=4242, count=12, prime_bound=200, max_n=3):
+        for kind in (ts.PHI, ts.PHI_HAT):
+            images = compute_selmer(params, kind).local_images()
+            labels = {}
+            for (place, c), entry in images.items():
+                assert entry.label == reference_label(entry.d, place), (params, place, entry.d)
+                labels.setdefault(place, set()).add(entry.label)
+            # distinct classes at a place get distinct labels
+            for place in params.places():
+                assert len(labels[place]) == sum(1 for (v, _) in images if v == place)
+
+
+@st.composite
+def _instances(draw):
+    eps = draw(st.sampled_from((1, -1)))
+    p, q = draw(st.sampled_from(twin_pairs_up_to(60)))
+    pool = [r for r in _PRIMES if 2 < r < 60 and r not in (p, q)]
+    ds = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+    return validate_params(eps, p, q, ds)
+
+
+def _local_square(place, y: int, k: int) -> int:
+    """y^2 times a square of Q_v* that need not be a square of Q."""
+    if place == ts.INF_PLACE:
+        return y * y * (abs(k) + 1)
+    # 1 + 8k is a square in Z_2, and 1 + l*k a square in Z_l
+    return y * y * (1 + (8 if place == 2 else place) * k)
+
+
+def _solvable(params, d, kind, place) -> bool:
+    return local_verdict(build_space(params, d, kind), place).solvable
+
+
+@_PROPERTY
+@given(st.data())
+def test_verdict_is_constant_on_local_classes(data):
+    params = data.draw(_instances())
+    kind = data.draw(st.sampled_from((ts.PHI, ts.PHI_HAT)))
+    place = data.draw(st.sampled_from(params.places()))
+    d = data.draw(_SMALL_NONZERO)
+    y = data.draw(st.integers(1, 100))
+    u = _local_square(place, y, data.draw(st.integers(-(10**3), 10**3).filter(bool)))
+    assert u != 0 and local_class(u, place) == 0
+    assert _solvable(params, d, kind, place) == _solvable(params, d * u, kind, place)
+
+
+@_PROPERTY
+@given(st.data())
+def test_solvable_classes_form_a_subgroup(data):
+    params = data.draw(_instances())
+    kind = data.draw(st.sampled_from((ts.PHI, ts.PHI_HAT)))
+    place = data.draw(st.sampled_from(params.places()))
+    a = data.draw(_SMALL_NONZERO)
+    b = data.draw(_SMALL_NONZERO)
+    assert _solvable(params, 1, kind, place)
+    if _solvable(params, a, kind, place) and _solvable(params, b, kind, place):
+        assert _solvable(params, a * b, kind, place)
 
 
 def _check_square_class_certificate(space, l, w):
@@ -91,8 +211,7 @@ def _check_square_class_certificate(space, l, w):
         value = space.g(r) * space.d if w["patch"] == 1 else (
             space.d * (space.u0 * r**4 + space.u2 * r**2 + space.u4)
         )
-        got = square_class_qp(value, l)
-        assert got.valuation == w["valuation"] and got.is_square, (space, l, w, r)
+        assert _int_valuation(value, l) == w["valuation"] and local_class(value, l) == 0, (space, l, w, r)
 
 
 def test_square_class_certificates_check_out():

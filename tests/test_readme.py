@@ -53,4 +53,4 @@ def test_library_block_values():
         if expected is not None:
             assert value == expected[0], (code, value)
             checked += 1
-    assert checked == 5  # [1, 61], 1, False, "pass" and []
+    assert checked == 6  # [1, 61], 1, False, 1, "pass" and []

@@ -7,8 +7,8 @@ import pytest
 import twinselmer as ts
 from twinselmer import selmer
 from twinselmer.family import build_space, validate_params
-from twinselmer.localsolve import local_verdict
-from twinselmer.selmer import compute_selmer, gf2_rref, local_class, to_jsonable
+from twinselmer.localsolve import local_class, local_verdict
+from twinselmer.selmer import compute_selmer, gf2_rref, to_jsonable
 
 from helpers import random_instances
 from reference_selmer import check_group_closure, enumerate_selmer
