@@ -271,7 +271,7 @@ def _cmd_audit(args) -> int:
     params = _params_from(args)
     rows = audit_params(params)
     payload = {
-        "schema": "twinselmer/audit-v1",
+        "schema": "twinselmer/audit-v2",
         "params": params.as_dict(),
         "count": len(rows),
         "discrepancies": rows,

@@ -62,6 +62,16 @@ def _as_value(d) -> int:
     return d.value if isinstance(d, SquareClass) else int(d)
 
 
+def _rule_values(params: FamilyParams) -> set[int]:
+    """The values the closed-form rules are stated on: +-1, +-2, +-D_i, +-pq, -eps*pD, -eps*qD, +-D.
+
+    Every other local rule reads only d's local class, and is tried first at its place.
+    """
+    p, q, D = params.p, params.q, params.D
+    signed = {s * v for v in (1, 2, p * q, D) + params.d_primes for s in (1, -1)}
+    return signed | {-params.epsilon * p * D, -params.epsilon * q * D}
+
+
 def _local_c(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
     eps, p, q, D = params.epsilon, params.p, params.q, params.D
     Ds = params.d_primes
@@ -205,53 +215,36 @@ def membership_closed_form(params: FamilyParams, kind: str, d) -> bool | None:
 
 
 def audit_params(params: FamilyParams, groups=None) -> list[dict]:
-    """Compare both engines on every covered (d, place) cell and membership.
+    """Compare both engines on every rule cell; one row per disagreement, [] when they agree.
 
-    Returns one row per disagreement; an empty list means the engines agree
-    on this instance.  Every class d is listed; its oracle verdict is read
-    from the Selmer verdict table by d's local class (verdict_at), so the
-    oracle runs once per local class the kernel skipped, never per d.
+    At each place the local rules are checked on _rule_values and on one
+    representative per local class the basis reaches, which covers the
+    rules that read only d's local class.  Membership is checked on the same
+    values and on the group's basis: an excluded rule cuts out a coordinate
+    subspace, so a member it cuts out implies a basis vector it cuts out.
+    The oracle side is read by local class (verdict_at).  Rows are ordered
+    by kind, then place, then d; membership rows (place "") come last.
     """
     if groups is None:
         groups = {kind: selmer.compute_selmer(params, kind) for kind in (PHI, PHI_HAT)}
+    values = _rule_values(params)
     rows = []
+
+    def record(check, kind, dv, place, rule, want, have):
+        if want != have:
+            rows.append({"check": check, "params": params.label(), "kind": kind, "d": dv,
+                         "place": place, "rule": rule, "closed_form": want, "oracle": have})
+
     for kind in (PHI, PHI_HAT):
         group = groups[kind]
-        for cls in selmer.enumerate_square_classes(params):
-            dv = cls.value
-            for place in params.places():
+        for place in params.places():
+            for dv in sorted(values.union(selmer.class_representatives(params, place).values())):
                 cf = closed_form_local(params, kind, dv, place)
-                if not cf.applicable:
-                    continue
-                verdict = group.verdict_at(dv, place)
-                if cf.solvable != verdict.solvable:
-                    rows.append(
-                        {
-                            "check": "local",
-                            "params": params.label(),
-                            "kind": kind,
-                            "d": dv,
-                            "place": str(place),
-                            "rule": cf.rule_id,
-                            "closed_form": cf.solvable,
-                            "oracle": verdict.solvable,
-                        }
-                    )
+                if cf.applicable:
+                    record("local", kind, dv, str(place), cf.rule_id, cf.solvable,
+                           group.verdict_at(dv, place).solvable)
+        for dv in sorted(values.union(b.value for b in group.basis)):
             mem = _membership_with_rule(params, kind, dv)
             if mem is not None:
-                want, rule = mem
-                have = group.contains_value(dv)
-                if want != have:
-                    rows.append(
-                        {
-                            "check": "membership",
-                            "params": params.label(),
-                            "kind": kind,
-                            "d": dv,
-                            "place": "",
-                            "rule": rule,
-                            "closed_form": want,
-                            "oracle": have,
-                        }
-                    )
+                record("membership", kind, dv, "", mem[1], mem[0], group.contains_value(dv))
     return rows

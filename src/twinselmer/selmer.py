@@ -39,7 +39,7 @@ from .family import (
     SquareClass,
     build_space,
     class_of_integer,
-    enumerate_square_classes,  # noqa: F401  (audit_params enumerates through selmer)
+    enumerate_square_classes,  # noqa: F401  (kept importable; the bench tracer wraps it)
 )
 from .localsolve import LocalVerdict, local_class, local_verdict
 
@@ -69,6 +69,12 @@ def _class_reps(columns) -> dict[int, int]:
         if col not in reps:
             reps.update({c ^ col: r | 1 << j for c, r in reps.items()})
     return reps
+
+
+def class_representatives(params: FamilyParams, place) -> dict[int, int]:
+    """Each local class at place the basis reaches, with the d that _decide decides it on."""
+    reps = _class_reps(_columns(params, place))
+    return {c: SquareClass(bits, params.basis()).value for c, bits in reps.items()}
 
 
 @dataclass(frozen=True)

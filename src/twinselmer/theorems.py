@@ -88,17 +88,15 @@ def _adjoined_two(params: FamilyParams) -> int | None:
     return None
 
 
-def pi_prime(params: FamilyParams, i: int, sign: int | None = None) -> int:
+def pi_prime(params: FamilyParams, i: int) -> int:
     """Paired nonresidue score of D_i for the dual descent direction.
 
-    sign defaults to the family's epsilon and flips the signs inside the
-    self-place product.
+    The family's epsilon sets the signs inside the self-place product.
     """
-    s = params.epsilon if sign is None else sign
     Di = params.d_primes[i - 1]
     dh = params.dhat(i)
-    first = (1 - legendre_symbol(-s * params.p * dh, Di)) * (
-        1 - legendre_symbol(-s * params.q * dh, Di)
+    first = (1 - legendre_symbol(-params.epsilon * params.p * dh, Di)) * (
+        1 - legendre_symbol(-params.epsilon * params.q * dh, Di)
     )
     pq = params.p * params.q
     rest = sum(
@@ -151,34 +149,32 @@ def _d_two_adic(p: int, D: int) -> bool:
     )
 
 
-def index_set_I(params: FamilyParams, sign: int | None = None) -> frozenset[int]:
+def index_set_I(params: FamilyParams) -> frozenset[int]:
     """Indices whose single-prime curve passes the place 2."""
-    s = params.epsilon if sign is None else sign
     return frozenset(
         i
         for i, Di in enumerate(params.d_primes, 1)
-        if _two_adic_unit_case(Di, params.p, params.q, s, params.dhat(i))
+        if _two_adic_unit_case(Di, params.p, params.q, params.epsilon, params.dhat(i))
     )
 
 
-def _prime_curve_ok(params: FamilyParams, i: int, sign: int | None = None) -> bool:
+def _prime_curve_ok(params: FamilyParams, i: int) -> bool:
     """D_i lies in the phi_hat group: i is in index_set_I and pi_prime(i) vanishes."""
-    s = params.epsilon if sign is None else sign
     Di = params.d_primes[i - 1]
     return (
-        _two_adic_unit_case(Di, params.p, params.q, s, params.dhat(i))
-        and pi_prime(params, i, sign) == 0
+        _two_adic_unit_case(Di, params.p, params.q, params.epsilon, params.dhat(i))
+        and pi_prime(params, i) == 0
     )
 
 
-def prime_curve_indices(params: FamilyParams, sign: int | None = None) -> frozenset[int]:
+def prime_curve_indices(params: FamilyParams) -> frozenset[int]:
     """Indices in index_set_I with vanishing pi_prime score."""
-    return frozenset(i for i in range(1, params.n + 1) if _prime_curve_ok(params, i, sign))
+    return frozenset(i for i in range(1, params.n + 1) if _prime_curve_ok(params, i))
 
 
-def rho_prime(params: FamilyParams, sign: int | None = None) -> int:
+def rho_prime(params: FamilyParams) -> int:
     """Number of admissible indices with vanishing pi_prime score."""
-    return len(prime_curve_indices(params, sign))
+    return len(prime_curve_indices(params))
 
 
 @dataclass(frozen=True)
@@ -244,47 +240,50 @@ class ConstraintSet:
 
 
 CONSTRAINTS: dict[str, ConstraintSet] = {
-    "1.2A": ConstraintSet(1, "1.2A", d_mod=(4, (1,)), symbol_rule="d-qr", pairwise_one=True),
-    "1.2B": ConstraintSet(
-        1, "1.2B", d_mod=(4, (1,)), d_mod8_exists=(5,), symbol_rule="d-qr", pairwise_one=True
-    ),
-    "1.2C": ConstraintSet(
-        1, "1.2C", p_mod8=(7,), d_mod=(8, (1,)), symbol_rule="d-qr", pairwise_one=True
-    ),
-    "1.4ex": ConstraintSet(1, "1.4ex", p_mod8=(3, 7), d_mod=(8, (1,)), symbol_rule="opposite"),
-    "1.5A": ConstraintSet(
-        1,
-        "1.5A",
-        d_mod=(4, (1,)),
-        d_mod8_exists=(5,),
-        symbol_rule="d-qr",
-        pairwise_one=True,
-        p_minus_d_mod8=(0, 2),
-    ),
-    "1.5B": ConstraintSet(
-        1, "1.5B", p_mod8=(7,), d_mod=(8, (1,)), symbol_rule="d-qr", pairwise_one=True
-    ),
-    "1.7A": ConstraintSet(-1, "1.7A", symbol_rule="pq-qr", pairwise_one=True),
-    "1.7B": ConstraintSet(
-        -1,
-        "1.7B",
-        symbol_rule="pq-qr",
-        pairwise_one=True,
-        d_mod8_by_p=((7, (1, 7)), (1, (1, 3))),
-    ),
-    "1.9ex": ConstraintSet(-1, "1.9ex", d_mod=(8, (1,)), symbol_rule="opposite"),
-    "1.10A": ConstraintSet(
-        -1,
-        "1.10A",
-        d_mod=(4, (1,)),
-        d_mod8_exists=(5,),
-        symbol_rule="d-qr",
-        pairwise_one=True,
-        p_minus_d_mod8=(2, 4),
-    ),
-    "1.10B": ConstraintSet(
-        -1, "1.10B", p_mod8=(1, 7), d_mod=(8, (1,)), symbol_rule="pq-qr", pairwise_one=True
-    ),
+    cs.theorem_id: cs
+    for cs in (
+        ConstraintSet(1, "1.2A", d_mod=(4, (1,)), symbol_rule="d-qr", pairwise_one=True),
+        ConstraintSet(
+            1, "1.2B", d_mod=(4, (1,)), d_mod8_exists=(5,), symbol_rule="d-qr", pairwise_one=True
+        ),
+        ConstraintSet(
+            1, "1.2C", p_mod8=(7,), d_mod=(8, (1,)), symbol_rule="d-qr", pairwise_one=True
+        ),
+        ConstraintSet(1, "1.4ex", p_mod8=(3, 7), d_mod=(8, (1,)), symbol_rule="opposite"),
+        ConstraintSet(
+            1,
+            "1.5A",
+            d_mod=(4, (1,)),
+            d_mod8_exists=(5,),
+            symbol_rule="d-qr",
+            pairwise_one=True,
+            p_minus_d_mod8=(0, 2),
+        ),
+        ConstraintSet(
+            1, "1.5B", p_mod8=(7,), d_mod=(8, (1,)), symbol_rule="d-qr", pairwise_one=True
+        ),
+        ConstraintSet(-1, "1.7A", symbol_rule="pq-qr", pairwise_one=True),
+        ConstraintSet(
+            -1,
+            "1.7B",
+            symbol_rule="pq-qr",
+            pairwise_one=True,
+            d_mod8_by_p=((7, (1, 7)), (1, (1, 3))),
+        ),
+        ConstraintSet(-1, "1.9ex", d_mod=(8, (1,)), symbol_rule="opposite"),
+        ConstraintSet(
+            -1,
+            "1.10A",
+            d_mod=(4, (1,)),
+            d_mod8_exists=(5,),
+            symbol_rule="d-qr",
+            pairwise_one=True,
+            p_minus_d_mod8=(2, 4),
+        ),
+        ConstraintSet(
+            -1, "1.10B", p_mod8=(1, 7), d_mod=(8, (1,)), symbol_rule="pq-qr", pairwise_one=True
+        ),
+    )
 }
 
 

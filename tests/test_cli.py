@@ -1,7 +1,11 @@
 """Command-line interface: formats, exit codes, config handling."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -181,7 +185,35 @@ def test_audit_json(capsys):
     )
     assert code == cli.EXIT_OK
     payload = json.loads(out)
+    assert payload["schema"] == "twinselmer/audit-v2"
     assert payload["count"] == 0 and payload["discrepancies"] == []
+
+
+def test_audit_reaches_the_n_cap(capsys):
+    # the audit checks rule cells, not the 2^24 square classes: each sign well under 5 s
+    primes = [r for r in primes_up_to(200) if r > 7][:cli.DEFAULT_N_CAP]
+    for eps in ("+1", "-1"):
+        t0 = time.monotonic()
+        code, out, _ = run_cli(
+            capsys, "audit", "--epsilon", eps, "--p", "5", "--q", "7",
+            "--D", ",".join(map(str, primes)), "--format", "json",
+        )
+        elapsed = time.monotonic() - t0
+        assert code == cli.EXIT_OK and elapsed < 5.0, (eps, elapsed)
+        payload = json.loads(out)
+        assert payload["count"] == 0 and len(payload["params"]["d_primes"]) == 20
+
+
+@pytest.mark.parametrize("module", ["twinselmer", "twinselmer.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "compute", "--epsilon", "+1", "--p", "3", "--q", "5",
+         "--D", "61"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert "dim2=1, elements={1, 61}" in proc.stdout
 
 
 def test_invalid_params_exit_code(capsys):

@@ -1,7 +1,9 @@
 """Closed-form criteria: rule values, membership, and agreement with the oracle."""
 
+import dataclasses
+
 import twinselmer as ts
-from twinselmer import selmer
+from twinselmer import criteria, family, selmer
 from twinselmer.criteria import (
     alpha_minus_pq,
     audit_params,
@@ -14,6 +16,7 @@ from twinselmer.localsolve import local_verdict
 from twinselmer.theorems import pi_plus
 
 from helpers import random_instances
+from reference_audit import enumerating_audit
 
 
 def test_alpha_examples():
@@ -122,3 +125,128 @@ def test_audit_reads_the_oracle_by_local_class(monkeypatch):
     # audit covers 2^7 classes at 8 places for each kind
     assert len(calls) == sum(len(g.verdict_table) for g in groups.values()) - decided
     assert len(calls) <= 2 * (2 + 8 + 4 * (params.n + 2))
+
+
+# every rule id of closed_form_local and of the membership rules
+LOCAL_RULES = (
+    "C:real-sign", "C:val-p", "C:val-q", "C:neg-unit:2", "C:2:mod16", "C:2:qr",
+    "C:-2:mod16", "C:-2:qr", "C:Di:mod4", "C:Di:self", "C:Di:qr", "C:-Di:mod4",
+    "C:-Di:self", "C:-Di:qr", "C':real-always", "C':real-sign", "C':even:2",
+    "C':rational-point", "C':Di:mod8", "C':Di:pq", "C':Di:self", "C':Di:cross",
+    "C':-pq:mod8", "C':-pq:pq", "C':-pq:qr", "C':D:mod8", "C':D:pq", "C':D:qr",
+)
+MEMBERSHIP_RULES = (
+    "S:identity", "S:C:excluded", "S:C:2", "S:C:-2", "S:C:Di", "S:C:-Di", "S:C':Di",
+    "S:C':excluded", "S:C':rational-point", "S:C':-pq", "S:C':-D", "S:C':D",
+)
+# local rules that read only d's local class at their place
+CLASS_RULES = {"C:real-sign", "C:val-p", "C:val-q", "C':real-always", "C':real-sign", "C':even:2"}
+EXCLUDED_RULES = {"S:C:excluded", "S:C':excluded"}
+
+
+def _keys(rows):
+    return {(r["check"], r["kind"], r["rule"], r["place"]) for r in rows}
+
+
+def _groups(params):
+    return {kind: ts.compute_selmer(params, kind) for kind in (ts.PHI, ts.PHI_HAT)}
+
+
+def _adjoin(group, value):
+    """The group with value's class adjoined to its basis (an oracle that errs on membership)."""
+    params = group.params
+    rows = [b.bits for b in group.basis] + [ts.class_of_integer(params, value).bits]
+    basis = tuple(ts.SquareClass(b, params.basis()) for b in selmer.gf2_rref(rows))
+    return dataclasses.replace(group, basis=basis)
+
+
+def test_audit_matches_enumerating_reference():
+    instances = random_instances(seed=5151, count=24, prime_bound=200)
+    assert {params.epsilon for params in instances} == {1, -1}
+    for params in instances:
+        groups = _groups(params)
+        assert audit_params(params, groups) == enumerating_audit(params, groups) == []
+        # a member an excluded rule cuts out is found through the basis: p is
+        # excluded from phi and 2q from phi_hat, and neither is a rule value
+        wrong = {ts.PHI: _adjoin(groups[ts.PHI], params.p),
+                 ts.PHI_HAT: _adjoin(groups[ts.PHI_HAT], 2 * params.q)}
+        keys = _keys(audit_params(params, wrong))
+        assert keys == _keys(enumerating_audit(params, wrong))
+        assert {("membership", ts.PHI, "S:C:excluded", ""),
+                ("membership", ts.PHI_HAT, "S:C':excluded", "")} <= keys
+
+
+def test_audit_matches_reference_under_rule_mutants(monkeypatch):
+    # flip one rule at a time: both audits must report the same keys, and
+    # every rule must fire on some instance
+    instances = random_instances(seed=6161, count=6, prime_bound=200)
+    groups = {params: _groups(params) for params in instances}
+    rule, membership = criteria._rule, criteria._membership_with_rule
+    for rid in LOCAL_RULES + MEMBERSHIP_RULES:
+        if rid in LOCAL_RULES:
+            monkeypatch.setattr(criteria, "_rule", lambda ok, r, rid=rid: rule(ok != (r == rid), r))
+        else:
+            def flipped(params, kind, dv, rid=rid):
+                res = membership(params, kind, dv)
+                return (not res[0], rid) if res is not None and res[1] == rid else res
+
+            monkeypatch.setattr(criteria, "_membership_with_rule", flipped)
+        fired = set()
+        for params in instances:
+            keys = _keys(audit_params(params, groups[params]))
+            assert keys == _keys(enumerating_audit(params, groups[params])), (rid, params)
+            fired |= {key[2] for key in keys}
+        assert fired == {rid}, rid
+        monkeypatch.undo()
+
+
+def test_audit_matches_reference_under_oracle_flips():
+    # flip the oracle on one local class at one place: a rule that reads only
+    # d's local class disagrees on that class alone, so the audit must try
+    # every class the basis reaches, not only the rule values
+    flips = 0
+    for params in random_instances(seed=8181, count=3, prime_bound=200, max_n=2):
+        groups = _groups(params)
+        for kind, group in groups.items():
+            for key, entry in group.local_images().items():
+                verdict = dataclasses.replace(entry.verdict, solvable=not entry.verdict.solvable)
+                table = {**group.verdict_table, key: dataclasses.replace(entry, verdict=verdict)}
+                wrong = {**groups, kind: dataclasses.replace(group, verdict_table=table)}
+                keys = _keys(audit_params(params, wrong))
+                assert keys == _keys(enumerating_audit(params, wrong)), (params, kind, key)
+                flips += bool(keys)
+    assert flips > 0
+
+
+def test_audit_covers_every_applicable_cell():
+    # each applicable cell is on a rule value, or its rule reads only d's
+    # local class, so the representative of that class gives the same verdict
+    for params in random_instances(seed=7171, count=100, prime_bound=300, max_n=4):
+        values = criteria._rule_values(params)
+        reps = {place: selmer.class_representatives(params, place) for place in params.places()}
+        for kind in (ts.PHI, ts.PHI_HAT):
+            for cls in ts.enumerate_square_classes(params):
+                dv = cls.value
+                mem = criteria._membership_with_rule(params, kind, dv)
+                if mem is not None:
+                    assert mem[1] in MEMBERSHIP_RULES
+                    assert dv in values or mem[1] in EXCLUDED_RULES, (params, kind, dv, mem)
+                for place in params.places():
+                    cf = closed_form_local(params, kind, dv, place)
+                    if not cf.applicable:
+                        continue
+                    assert cf.rule_id in LOCAL_RULES
+                    if dv not in values:
+                        assert cf.rule_id in CLASS_RULES, (params, kind, dv, place, cf)
+                        rep = reps[place][ts.local_class(dv, place)]
+                        assert closed_form_local(params, kind, rep, place) == cf
+
+
+def test_audit_walks_no_square_classes(monkeypatch):
+    def refuse(params):
+        raise AssertionError("the audit must not enumerate square classes")
+
+    monkeypatch.setattr(selmer, "enumerate_square_classes", refuse)
+    monkeypatch.setattr(family, "enumerate_square_classes", refuse)
+    for eps in (1, -1):
+        assert audit_params(validate_params(eps, 5, 7, [11, 13, 17, 19, 23, 29, 31, 37])) == []

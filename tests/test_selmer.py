@@ -142,6 +142,17 @@ def test_solvable_local_classes_form_subgroup():
                 assert 1 in image and len(image) <= 1 << rank, (params, place, image)
 
 
+def test_class_representatives_are_the_table_representatives():
+    # the audit's representatives are the d each class is decided on
+    for params in random_instances(seed=911, count=20, prime_bound=300, max_n=3):
+        for kind in (ts.PHI, ts.PHI_HAT):
+            images = compute_selmer(params, kind).local_images()
+            for place in params.places():
+                reps = selmer.class_representatives(params, place)
+                assert reps == {c: e.d for (v, c), e in images.items() if v == place}
+                assert all(local_class(d, place) == c for c, d in reps.items())
+
+
 def test_oracle_calls_per_group(monkeypatch):
     # at most 2 + 8 + 4(n + 2) oracle calls, and no class enumeration
     calls = []

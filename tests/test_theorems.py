@@ -61,8 +61,12 @@ def test_pi_prime_and_index_set():
     assert pi_prime(params, 1) == 0
     assert index_set_I(params) == frozenset({1})
     assert rho_prime(params) == 1
-    # explicit sign argument overrides epsilon
-    assert pi_prime(params, 1, sign=1) == pi_prime(params, 1)
+
+
+def test_constraints_keyed_by_theorem_id():
+    assert len(CONSTRAINTS) == 11
+    for tid, cs in CONSTRAINTS.items():
+        assert cs.theorem_id == tid
 
 
 def test_verify_goldens():
