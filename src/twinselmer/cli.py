@@ -7,15 +7,10 @@ import csv
 import json
 import os
 import sys
+from functools import cache, partial
 
 from .criteria import audit_params
-from .family import (
-    PHI,
-    PHI_HAT,
-    InvalidParamsError,
-    enumerate_square_classes,
-    validate_params,
-)
+from .family import PHI, PHI_HAT, InvalidParamsError, validate_params
 from .localsolve import OracleUndecidedError
 from .search import CONSTRAINTS, ClaimFailedError, demonstrate_large_selmer, find_family
 from .selmer import compute_selmer, to_jsonable
@@ -27,7 +22,7 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 ENV_TIME_BUDGET = "TWINSELMER_TIME_BUDGET"
-CSV_VERSION = "# twinselmer-csv v2"
+CSV_VERSION = "# twinselmer-csv v3"
 DEFAULT_N_CAP = 20
 
 
@@ -72,6 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=(PHI, PHI_HAT), default=PHI)
     sp.add_argument("--seed-table", dest="seed_table", action="store_true",
                     help="emit the full per-place verdict table")
+    sp.add_argument("--elements", action="store_true",
+                    help="also list all 2^dim2 members (default: the basis only)")
     add_common(sp)
 
     sp = sub.add_parser("verify", help="verify one catalog claim on an instance")
@@ -100,6 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
 
     return ap
+
+
+# argparse trees are costly to build, and an in-process session calls main many times
+_parser = cache(build_parser)
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -165,7 +166,8 @@ def _cmd_compute(args) -> int:
     params = _params_from(args)
     group = compute_selmer(params, args.kind)
     if args.format == "json":
-        print(_canonical_json(to_jsonable(group, include_table=args.seed_table)), end="")
+        payload = to_jsonable(group, include_table=args.seed_table, include_elements=args.elements)
+        print(_canonical_json(payload), end="")
     elif args.format == "csv":
         if args.seed_table:
             rows = []
@@ -180,19 +182,17 @@ def _cmd_compute(args) -> int:
                              verdict.search_depth, witness])
             _emit_csv("verdicts", ["place", "class", "d", "solvable", "search_depth", "witness"], rows)
         else:
-            places = params.places()
-            rows = []
-            for value in sorted(cls.value for cls in enumerate_square_classes(params)):
-                member = group.contains_value(value)
-                failed = "" if member else next(
-                    str(place) for place in places if not group.verdict_at(value, place).solvable
-                )
-                rows.append([value, member, failed])
-            _emit_csv("selmer", ["d", "member", "failed_place"], rows)
+            basis = [cls.value for cls in group.basis]
+            values = group.element_values() if args.elements else basis
+            in_basis = set(basis)
+            _emit_csv("selmer", ["d", "basis"], [[v, v in in_basis] for v in values])
     else:
         print(f"{group.kind} Selmer group for {params.label()}")
-        values = ", ".join(str(v) for v in group.element_values())
-        print(f"dim2={group.dim2}, elements={{{values}}}")
+        basis = ", ".join(str(cls.value) for cls in group.basis)
+        print(f"dim2={group.dim2}, order={group.order}, basis={{{basis}}}")
+        if args.elements:
+            values = ", ".join(str(v) for v in group.element_values())
+            print(f"elements={{{values}}}")
     return EXIT_OK
 
 
@@ -236,24 +236,27 @@ def _cmd_search(args) -> int:
     if args.epsilon is None:
         raise InvalidParamsError("missing required flag: --epsilon")
     if args.target_dim is not None:
-        found = demonstrate_large_selmer(
-            args.epsilon, args.kind, args.target_dim,
-            bound=args.bound, time_budget=budget, progress=progress,
-        )
+        run = partial(demonstrate_large_selmer, args.epsilon, args.kind, args.target_dim,
+                      bound=args.bound, time_budget=budget, progress=progress)
         query = {"mode": "target-dim", "kind": args.kind, "target_dim": args.target_dim}
     elif args.corollary is not None:
-        found = find_family(
-            args.epsilon, args.corollary, args.n, args.bound,
-            time_budget=budget, progress=progress,
-        )
+        run = partial(find_family, args.epsilon, args.corollary, args.n, args.bound,
+                      time_budget=budget, progress=progress)
         query = {"mode": "corollary", "corollary": args.corollary, "n": args.n}
     else:
         raise InvalidParamsError("search needs --corollary or --target-dim")
     query.update({"epsilon": args.epsilon, "bound": args.bound})
+    failure = None
+    try:
+        found = run()
+    except ClaimFailedError as exc:  # printed like a hit, then reported by main
+        found, failure = exc.report.params, exc
+    verdict = "fail" if failure is not None else "pass" if found is not None else None
     payload = {
-        "schema": "twinselmer/search-v1",
+        "schema": "twinselmer/search-v2",
         "query": query,
         "found": found is not None,
+        "verdict": verdict,
         "params": found.as_dict() if found is not None else None,
     }
     if args.format == "json":
@@ -261,9 +264,13 @@ def _cmd_search(args) -> int:
     elif args.format == "csv":
         row = [found is not None]
         row += [found.epsilon, found.p, found.q, ",".join(map(str, found.d_primes))] if found else ["", "", "", ""]
-        _emit_csv("search", ["found", "epsilon", "p", "q", "D"], [row])
+        _emit_csv("search", ["found", "epsilon", "p", "q", "D", "verdict"], [row + [verdict or ""]])
+    elif failure is not None:
+        print(f"{found.label()}: fail")
     else:
         print(found.label() if found is not None else "none")
+    if failure is not None:
+        raise failure
     return EXIT_OK if found is not None else EXIT_FAILURE
 
 
@@ -303,7 +310,13 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code (EXIT_OK .. EXIT_UNDECIDED).
+
+    argv defaults to sys.argv[1:].  The argument parser is built once per
+    process and reused, so an in-process session pays for it once.  Usage
+    errors from argparse exit with status 2 via SystemExit.
+    """
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.config:

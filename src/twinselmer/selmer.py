@@ -244,21 +244,27 @@ def _jsonable_witness(witness: dict | None):
     return out
 
 
-def to_jsonable(group: SelmerGroup, include_table: bool = False) -> dict:
+def to_jsonable(
+    group: SelmerGroup, include_table: bool = False, include_elements: bool = False
+) -> dict:
     """Stable dict form of a SelmerGroup (sorted keys give byte-stable JSON).
 
-    include_table adds local_images(): every (place, local class) the basis
-    reaches, keyed by place and class label.
+    The group is given by dim2, order and its reduced basis, so the size of
+    the output grows with dim2, not with the order.  include_elements adds
+    the 2^dim2 members in ascending order; include_table adds
+    local_images(): every (place, local class) the basis reaches, keyed by
+    place and class label.
     """
     out = {
-        "schema": "twinselmer/selmer-v3",
+        "schema": "twinselmer/selmer-v4",
         "kind": group.kind,
         "params": group.params.as_dict(),
         "dim2": group.dim2,
         "order": group.order,
         "basis": [cls.value for cls in group.basis],
-        "elements": group.element_values(),
     }
+    if include_elements:
+        out["elements"] = group.element_values()
     if include_table:
         table: dict[str, dict] = {}
         for (place, _), entry in group.local_images().items():

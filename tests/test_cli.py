@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, config handling."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -27,7 +28,8 @@ def test_compute_text_golden(capsys):
         "--D", "61", "--kind", "phi",
     )
     assert code == cli.EXIT_OK
-    assert "dim2=1, elements={1, 61}" in out
+    assert "dim2=1, order=2, basis={61}" in out
+    assert "elements" not in out
 
 
 def test_compute_json_round_trips(capsys):
@@ -37,8 +39,22 @@ def test_compute_json_round_trips(capsys):
     )
     assert code == cli.EXIT_OK
     payload = json.loads(out)
-    assert payload["elements"] == [1, 61]
+    assert payload["schema"] == "twinselmer/selmer-v4"
+    assert payload["basis"] == [61] and "elements" not in payload
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out
+
+
+def test_compute_elements_flag(capsys):
+    # --elements adds the full member list in every format
+    base = ("compute", "--epsilon", "+1", "--p", "3", "--q", "5", "--D", "61", "--elements")
+    code, out, _ = run_cli(capsys, *base, "--format", "json")
+    assert code == cli.EXIT_OK and json.loads(out)["elements"] == [1, 61]
+    code, out, _ = run_cli(capsys, *base)
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[1:] == ["dim2=1, order=2, basis={61}", "elements={1, 61}"]
+    code, out, _ = run_cli(capsys, *base, "--format", "csv")
+    assert code == cli.EXIT_OK
+    assert out.splitlines() == ["# twinselmer-csv v3 selmer", "d,basis", "1,False", "61,True"]
 
 
 def test_compute_csv_schema(capsys):
@@ -48,9 +64,8 @@ def test_compute_csv_schema(capsys):
     )
     assert code == cli.EXIT_OK
     lines = out.splitlines()
-    assert lines[0] == "# twinselmer-csv v2 selmer"
-    assert lines[1] == "d,member,failed_place"
-    assert "61,True," in out
+    # basis rows only: the phi group of (+1, 3, 5, 61) is {1, 61}
+    assert lines == ["# twinselmer-csv v3 selmer", "d,basis", "61,True"]
 
 
 def test_compute_seed_table(capsys):
@@ -60,7 +75,7 @@ def test_compute_seed_table(capsys):
     )
     assert code == cli.EXIT_OK
     payload = json.loads(out)
-    assert payload["schema"] == "twinselmer/selmer-v3"
+    assert payload["schema"] == "twinselmer/selmer-v4"
     verdicts = payload["verdicts"]
     # one verdict per (place, local class), each with its representative d
     assert set(verdicts) == {"inf", "2", "3", "5", "61"}
@@ -73,25 +88,64 @@ def test_compute_seed_table(capsys):
         "--D", "61", "--seed-table", "--format", "csv",
     )
     lines = out.splitlines()
-    assert lines[:2] == ["# twinselmer-csv v2 verdicts", "place,class,d,solvable,search_depth,witness"]
+    assert lines[:2] == ["# twinselmer-csv v3 verdicts", "place,class,d,solvable,search_depth,witness"]
     assert len(lines) == 2 + sum(len(classes) for classes in verdicts.values())
     assert lines[2].startswith("inf,sign=+1,1,True,0,")
 
 
+def _timed_compute(capsys, *argv):
+    t0 = time.monotonic()
+    code, out, _ = run_cli(capsys, "compute", *argv)
+    return code, out, time.monotonic() - t0
+
+
 def test_compute_reaches_the_n_cap(capsys):
-    # the default cap of 20 D primes is usable: each kind well under 5 s
-    primes = [r for r in primes_up_to(200) if r > 7][:20]
+    # the default cap of 20 D primes is usable in every format: each run under 1 s
+    primes = [r for r in primes_up_to(200) if r > 7][:cli.DEFAULT_N_CAP]
+    fam = ("--epsilon", "+1", "--p", "5", "--q", "7", "--D", ",".join(map(str, primes)))
     for kind in ("phi", "phi_hat"):
-        t0 = time.monotonic()
-        code, out, _ = run_cli(
-            capsys, "compute", "--epsilon", "+1", "--p", "5", "--q", "7",
-            "--D", ",".join(map(str, primes)), "--kind", kind, "--format", "json",
-        )
-        elapsed = time.monotonic() - t0
-        assert code == cli.EXIT_OK and elapsed < 5.0, (kind, elapsed)
-        payload = json.loads(out)
-        assert len(payload["params"]["d_primes"]) == cli.DEFAULT_N_CAP
-        assert payload["order"] == len(payload["elements"]) == 1 << payload["dim2"]
+        for fmt in ("text", "json", "csv"):
+            for table in ((), ("--seed-table",)):
+                argv = (*fam, "--kind", kind, "--format", fmt, *table)
+                code, out, elapsed = _timed_compute(capsys, *argv)
+                assert code == cli.EXIT_OK and elapsed < 1.0, (argv, elapsed)
+                if fmt == "json":
+                    payload = json.loads(out)
+                    assert len(payload["params"]["d_primes"]) == cli.DEFAULT_N_CAP
+                    assert payload["order"] == 1 << payload["dim2"] == 1 << len(payload["basis"])
+                    assert "elements" not in payload and ("verdicts" in payload) == bool(table)
+                elif fmt == "csv" and not table:
+                    assert out.splitlines()[1] == "d,basis"
+                elif fmt == "text":
+                    assert out.splitlines()[1].startswith("dim2=")
+
+
+def test_compute_prints_a_dim_20_group_by_its_basis(capsys):
+    # 2^20 members: the element list is 29.8 MB of JSON, the basis a few hundred bytes
+    d_primes = "41,73,89,97,193,281,313,337,401,433,449,457,521,569,577,641,673"
+    code, out, elapsed = _timed_compute(
+        capsys, "--epsilon", "+1", "--p", "3", "--q", "5", "--D", d_primes,
+        "--kind", "phi_hat", "--format", "json",
+    )
+    assert code == cli.EXIT_OK and elapsed < 1.0 and len(out) < 10_000, (elapsed, len(out))
+    payload = json.loads(out)
+    assert payload["dim2"] == len(payload["basis"]) == 20 and payload["order"] == 1 << 20
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, "compute", "--epsilon", "+1", "--p", "3", "--q", "5", "--D", "61")
+        assert code == cli.EXIT_OK
+    assert built.count("twinselmer") == 1
 
 
 def test_verify_pass_and_strictness(capsys):
@@ -138,6 +192,12 @@ def test_search_none_found(capsys):
         "--n", "1", "--bound", "10",
     )
     assert code == cli.EXIT_FAILURE and "none" in out
+    code, out, _ = run_cli(
+        capsys, "search", "--epsilon", "+1", "--corollary", "1.2C",
+        "--n", "1", "--bound", "10", "--format", "json",
+    )
+    payload = json.loads(out)
+    assert code == cli.EXIT_FAILURE and payload["found"] is False and payload["verdict"] is None
 
 
 def test_search_counterexample_exits_one(capsys, monkeypatch):
@@ -146,8 +206,25 @@ def test_search_counterexample_exits_one(capsys, monkeypatch):
         capsys, "search", "--epsilon", "+1", "--corollary", "1.2B",
         "--n", "1", "--bound", "100",
     )
-    assert code == cli.EXIT_FAILURE and out == ""
+    # the failing instance goes to stdout like a hit, the exit code stays 1
+    assert code == cli.EXIT_FAILURE and out == "eps=+1 p=3 q=5 D=61: fail\n"
     assert "counterexample: claim 1.2B fails on eps=+1 p=3 q=5 D=61" in err
+    code, out, err = run_cli(
+        capsys, "search", "--epsilon", "+1", "--corollary", "1.2B",
+        "--n", "1", "--bound", "100", "--format", "json",
+    )
+    assert code == cli.EXIT_FAILURE
+    assert "counterexample: claim 1.2B fails on eps=+1 p=3 q=5 D=61" in err
+    payload = json.loads(out)
+    assert payload["schema"] == "twinselmer/search-v2"
+    assert payload["verdict"] == "fail" and payload["found"] is True
+    assert payload["params"] == {"epsilon": 1, "p": 3, "q": 5, "d_primes": [61]}
+    code, out, _ = run_cli(
+        capsys, "search", "--epsilon", "+1", "--corollary", "1.2B",
+        "--n", "1", "--bound", "100", "--format", "csv",
+    )
+    assert code == cli.EXIT_FAILURE
+    assert out.splitlines()[1:] == ["found,epsilon,p,q,D,verdict", "True,1,3,5,61,fail"]
 
 
 def test_search_target_dim(capsys):
@@ -157,7 +234,7 @@ def test_search_target_dim(capsys):
     )
     assert code == cli.EXIT_OK
     payload = json.loads(out)
-    assert payload["found"] is True
+    assert payload["found"] is True and payload["verdict"] == "pass"
     assert payload["params"]["d_primes"] == [41]
 
 
@@ -213,7 +290,7 @@ def test_python_dash_m_runs_the_cli(module):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == cli.EXIT_OK, proc.stderr
-    assert "dim2=1, elements={1, 61}" in proc.stdout
+    assert "dim2=1, order=2, basis={61}" in proc.stdout
 
 
 def test_invalid_params_exit_code(capsys):
@@ -240,7 +317,7 @@ def test_n_cap(capsys):
 
 def test_config_overrides_flags(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# golden instance\nD=61\nformat=json\n")
+    cfg.write_text("# golden instance\nD=61\nformat=json\nelements=true\n")
     code, out, _ = run_cli(
         capsys, "compute", "--epsilon", "+1", "--p", "3", "--q", "5",
         "--D", "7", "--config", str(cfg),

@@ -3,6 +3,8 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twinselmer as ts
 from twinselmer import selmer
@@ -199,6 +201,29 @@ def test_forced_subgroup_and_caps():
         assert check_group_closure(ghat.elements)
 
 
+_TWINS_500 = [t for t in ts.arith.twin_pairs_up_to(500) if t[1] < 500]
+_ODD_PRIMES_500 = [r for r in ts.arith.primes_up_to(500) if r > 2]
+
+
+@st.composite
+def _params_below_500(draw):
+    eps = draw(st.sampled_from((1, -1)))
+    p, q = draw(st.sampled_from(_TWINS_500))
+    pool = [r for r in _ODD_PRIMES_500 if r not in (p, q)]
+    ds = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    return validate_params(eps, p, q, ds)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_params_below_500())
+def test_forced_phi_hat_subgroup_property(params):
+    # {1, pq, -eps*p*D, -eps*q*D} lies in every phi-hat group
+    group = compute_selmer(params, ts.PHI_HAT)
+    p, q, D, eps = params.p, params.q, params.D, params.epsilon
+    for v in (1, p * q, -eps * p * D, -eps * q * D):
+        assert group.contains_value(v), (params, v)
+
+
 def test_compute_selmer_rejects_bad_kind():
     with pytest.raises(ValueError):
         compute_selmer(validate_params(1, 3, 5, [7]), "both")
@@ -207,11 +232,12 @@ def test_compute_selmer_rejects_bad_kind():
 def test_jsonable_shape():
     group = compute_selmer(validate_params(1, 3, 5, [61]), ts.PHI)
     payload = to_jsonable(group)
-    assert payload["elements"] == [1, 61]
+    assert payload["basis"] == [61] and "elements" not in payload
     assert payload["dim2"] == 1 and payload["order"] == 2
     assert "verdicts" not in payload
+    assert to_jsonable(group, include_elements=True)["elements"] == [1, 61]
     full = to_jsonable(group, include_table=True)
-    assert full["schema"] == "twinselmer/selmer-v3"
+    assert full["schema"] == "twinselmer/selmer-v4"
     assert full["verdicts"]["inf"]["sign=+1"] == {
         "d": 1, "solvable": True, "search_depth": 0, "witness": {"type": "real_sign", "s": "0"}
     }
