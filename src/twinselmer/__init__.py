@@ -15,18 +15,14 @@ from .criteria import (
 )
 from .family import (
     INF_PLACE,
-    KIND_C,
-    KIND_CPRIME,
     PHI,
     PHI_HAT,
     FamilyParams,
     HomogeneousSpace,
     InvalidParamsError,
-    SquareClass,
     build_space,
     class_of_integer,
     enumerate_square_classes,
-    identity_class,
     validate_params,
 )
 from .localsolve import (

@@ -1,9 +1,8 @@
-"""Exact integer kernel: primality, quadratic residue symbols, valuations, CRT."""
+"""Exact integer kernel: primality, quadratic residue symbols, valuations."""
 
 from __future__ import annotations
 
 import random
-from math import gcd
 
 # Fixed Miller-Rabin witness set. Deterministic for every n below
 # 3317044064679887385961981 (> 2**64); above that we fall back to 40
@@ -69,31 +68,6 @@ def _int_valuation(m: int, l: int) -> int:
         m //= l
         v += 1
     return v
-
-
-def crt_solve(congruences) -> tuple[int, int] | None:
-    """Solve x = r_i (mod m_i) simultaneously.
-
-    Moduli need not be coprime; consistency is checked. Returns
-    (residue, modulus) with 0 <= residue < modulus, or None if the system
-    is contradictory.
-    """
-    r, m = 0, 1
-    for r2, m2 in congruences:
-        if m2 <= 0:
-            raise ValueError(f"modulus must be positive, got {m2}")
-        g = gcd(m, m2)
-        if (r2 - r) % g:
-            return None
-        mm = m2 // g
-        if mm > 1:
-            t = ((r2 - r) // g * pow((m // g) % mm, -1, mm)) % mm
-        else:
-            t = 0
-        lcm = m // g * m2
-        r = (r + m * t) % lcm
-        m = lcm
-    return r, m
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -162,6 +162,21 @@ def _params_from(args) -> "FamilyParams":
     return validate_params(args.epsilon, args.p, args.q, args.D)
 
 
+_VERDICT_HEADER = ["place", "class", "d", "solvable", "search_depth", "witness"]
+
+
+def _verdict_rows(group) -> list[list]:
+    """One _VERDICT_HEADER row per local_images() entry; the witness is sorted JSON, or ""."""
+    rows = []
+    for (place, _), entry in group.local_images().items():
+        verdict = entry.verdict
+        witness = ""
+        if verdict.witness is not None:
+            witness = json.dumps({k: str(v) for k, v in verdict.witness.items()}, sort_keys=True)
+        rows.append([place, entry.label, entry.d, verdict.solvable, verdict.search_depth, witness])
+    return rows
+
+
 def _cmd_compute(args) -> int:
     params = _params_from(args)
     group = compute_selmer(params, args.kind)
@@ -170,26 +185,18 @@ def _cmd_compute(args) -> int:
         print(_canonical_json(payload), end="")
     elif args.format == "csv":
         if args.seed_table:
-            rows = []
-            for (place, _), entry in group.local_images().items():
-                verdict = entry.verdict
-                witness = ""
-                if verdict.witness is not None:
-                    witness = json.dumps(
-                        {k: str(v) for k, v in verdict.witness.items()}, sort_keys=True
-                    )
-                rows.append([place, entry.label, entry.d, verdict.solvable,
-                             verdict.search_depth, witness])
-            _emit_csv("verdicts", ["place", "class", "d", "solvable", "search_depth", "witness"], rows)
+            _emit_csv("verdicts", _VERDICT_HEADER, _verdict_rows(group))
         else:
-            basis = [cls.value for cls in group.basis]
-            values = group.element_values() if args.elements else basis
-            in_basis = set(basis)
+            values = group.element_values() if args.elements else group.basis
+            in_basis = set(group.basis)
             _emit_csv("selmer", ["d", "basis"], [[v, v in in_basis] for v in values])
     else:
         print(f"{group.kind} Selmer group for {params.label()}")
-        basis = ", ".join(str(cls.value) for cls in group.basis)
+        basis = ", ".join(map(str, group.basis))
         print(f"dim2={group.dim2}, order={group.order}, basis={{{basis}}}")
+        if args.seed_table:
+            for row in _verdict_rows(group):
+                print("  " + " ".join(f"{k}={v}" for k, v in zip(_VERDICT_HEADER, row)))
         if args.elements:
             values = ", ".join(str(v) for v in group.element_values())
             print(f"elements={{{values}}}")

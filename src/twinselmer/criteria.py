@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 from . import selmer
 from .arith import legendre_symbol
-from .family import (
-    INF_PLACE,
-    KIND_C,
-    PHI,
-    PHI_HAT,
-    FamilyParams,
-    SquareClass,
-    _quartic_kind,
-)
+from .family import INF_PLACE, PHI, PHI_HAT, FamilyParams, check_kind
 from .localsolve import local_verdict  # noqa: F401  (kept importable; the bench tracer wraps it)
 from .theorems import (
     _adjoined_two,
@@ -56,10 +48,6 @@ _NA = ClosedFormVerdict(False, None, "")
 
 def _rule(ok: bool, rule_id: str) -> ClosedFormVerdict:
     return ClosedFormVerdict(True, bool(ok), rule_id)
-
-
-def _as_value(d) -> int:
-    return d.value if isinstance(d, SquareClass) else int(d)
 
 
 def _rule_values(params: FamilyParams) -> set[int]:
@@ -174,16 +162,16 @@ def _local_cprime(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
     return _NA
 
 
-def closed_form_local(params: FamilyParams, kind: str, d, place) -> ClosedFormVerdict:
+def closed_form_local(params: FamilyParams, kind: str, d: int, place) -> ClosedFormVerdict:
     """Closed-form local verdict for (kind, d, place), or applicable = False."""
-    local = _local_c if _quartic_kind(kind) == KIND_C else _local_cprime
-    return local(params, _as_value(d), place)
+    local = _local_c if check_kind(kind) == PHI else _local_cprime
+    return local(params, d, place)
 
 
 def _membership_with_rule(params, kind, dv):
     eps, p, q, D = params.epsilon, params.p, params.q, params.D
     Ds = params.d_primes
-    if _quartic_kind(kind) == KIND_C:
+    if check_kind(kind) == PHI:
         if dv == 1:
             return True, "S:identity"
         if eps == 1 and (dv < 0 or dv % p == 0 or dv % q == 0):
@@ -208,9 +196,9 @@ def _membership_with_rule(params, kind, dv):
     return None
 
 
-def membership_closed_form(params: FamilyParams, kind: str, d) -> bool | None:
+def membership_closed_form(params: FamilyParams, kind: str, d: int) -> bool | None:
     """Membership verdict for d where a closed-form rule exists, else None."""
-    res = _membership_with_rule(params, kind, _as_value(d))
+    res = _membership_with_rule(params, kind, d)
     return None if res is None else res[0]
 
 
@@ -243,7 +231,7 @@ def audit_params(params: FamilyParams, groups=None) -> list[dict]:
                 if cf.applicable:
                     record("local", kind, dv, str(place), cf.rule_id, cf.solvable,
                            group.verdict_at(dv, place).solvable)
-        for dv in sorted(values.union(b.value for b in group.basis)):
+        for dv in sorted(values.union(group.basis)):
             mem = _membership_with_rule(params, kind, dv)
             if mem is not None:
                 record("membership", kind, dv, "", mem[1], mem[0], group.contains_value(dv))

@@ -1,9 +1,13 @@
 """Curve-family parameters, square classes on the bad-place basis, and descent quartics.
 
 The family is y^2 = x(x + eps*p*D)(x + eps*q*D) for a twin-prime pair
-(p, q) and D a squarefree product of further odd primes.  Membership of a
-square class d in either descent Selmer group is tested through an even
-quartic curve d*w^2 = g(z) whose coefficients are built here.
+(p, q) and D a squarefree product of further odd primes.  A square class is
+its signed squarefree integer d supported on the basis (-1, 2, p, q,
+D_1..D_n).  Its exponent bits (bit j is the exponent of basis()[j]) are the
+GF(2) coordinates of the selmer kernel; FamilyParams.value and
+class_of_integer convert between the two.  Membership of d in the phi or
+the phi_hat Selmer group is tested through an even quartic curve
+d*w^2 = g(z), C_d or C'_d, whose coefficients are built here.
 """
 
 from __future__ import annotations
@@ -15,28 +19,17 @@ from . import arith
 
 INF_PLACE = "inf"
 
-KIND_C = "C"  # quartic with leading coefficient 4*D^2
-KIND_CPRIME = "C'"  # quartic with leading coefficient p*q*D^2
-
-# Selmer-side names for the two descent directions.
+# The two descent directions: phi is tested on the quartics C_d (leading
+# coefficient 4*D^2), phi_hat on the quartics C'_d (leading coefficient p*q*D^2).
 PHI = "phi"
 PHI_HAT = "phi_hat"
 
-# phi is tested on the C quartics, phi_hat on the C' quartics
-_KIND_ALIASES = {
-    KIND_C: KIND_C,
-    KIND_CPRIME: KIND_CPRIME,
-    PHI: KIND_C,
-    PHI_HAT: KIND_CPRIME,
-}
 
-
-def _quartic_kind(kind: str) -> str:
-    """KIND_C or KIND_CPRIME for a quartic kind or a Selmer-side name."""
-    k = _KIND_ALIASES.get(kind)
-    if k is None:
-        raise ValueError(f"unknown kind {kind!r}")
-    return k
+def check_kind(kind: str) -> str:
+    """kind itself when it is PHI or PHI_HAT; ValueError for any other value."""
+    if kind not in (PHI, PHI_HAT):
+        raise ValueError(f"kind must be {PHI!r} or {PHI_HAT!r}, got {kind!r}")
+    return kind
 
 
 class InvalidParamsError(ValueError):
@@ -66,6 +59,14 @@ class FamilyParams:
 
     def basis(self) -> tuple[int, ...]:
         return (-1, 2, self.p, self.q) + self.d_primes
+
+    def value(self, bits: int) -> int:
+        """The class with these exponent bits on basis(), as its signed squarefree integer."""
+        v = 1
+        for j, b in enumerate(self.basis()):
+            if (bits >> j) & 1:
+                v *= b
+        return v
 
     def places(self) -> list:
         """Bad places in evaluation order: infinity, 2, p, q, then D_i ascending."""
@@ -103,40 +104,8 @@ def validate_params(epsilon: int, p: int, q: int, d_primes) -> FamilyParams:
     return FamilyParams(epsilon, p, q, ds)
 
 
-@dataclass(frozen=True)
-class SquareClass:
-    """Element of the square-class group on basis (-1, 2, p, q, D_1..D_n).
-
-    bits holds one exponent per basis entry (bit j = exponent of basis[j]);
-    the group law is bitwise XOR, matching multiplication modulo squares.
-    """
-
-    bits: int
-    basis: tuple[int, ...]
-
-    @property
-    def value(self) -> int:
-        v = 1
-        for j, b in enumerate(self.basis):
-            if (self.bits >> j) & 1:
-                v *= b
-        return v
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        if self.basis != other.basis:
-            raise ValueError("square classes live on different bases")
-        return SquareClass(self.bits ^ other.bits, self.basis)
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-def identity_class(params: FamilyParams) -> SquareClass:
-    return SquareClass(0, params.basis())
-
-
-def class_of_integer(params: FamilyParams, m: int) -> SquareClass:
-    """Square class of a signed squarefree integer supported on the basis."""
+def class_of_integer(params: FamilyParams, m: int) -> int:
+    """Exponent bits of a signed squarefree integer supported on the basis; params.value inverts it."""
     if m == 0:
         raise ValueError("0 has no square class")
     basis = params.basis()
@@ -151,18 +120,17 @@ def class_of_integer(params: FamilyParams, m: int) -> SquareClass:
             rest //= b
     if rest != 1:
         raise ValueError(f"{m} is not squarefree over the basis {basis}")
-    return SquareClass(bits, basis)
+    return bits
 
 
-def enumerate_square_classes(params: FamilyParams) -> list[SquareClass]:
+def enumerate_square_classes(params: FamilyParams) -> list[int]:
     """All 2^(n+4) square classes, in ascending bit order (byte-stable)."""
-    basis = params.basis()
-    return [SquareClass(bits, basis) for bits in range(1 << len(basis))]
+    return [params.value(bits) for bits in range(1 << (params.n + 4))]
 
 
 @dataclass(frozen=True)
 class HomogeneousSpace:
-    """Descent curve d*w^2 = u4*z^4 + u2*z^2 + u0 with exact integer data."""
+    """Descent curve d*w^2 = u4*z^4 + u2*z^2 + u0 with exact integer data; kind is PHI or PHI_HAT."""
 
     kind: str
     d: int
@@ -180,17 +148,16 @@ class HomogeneousSpace:
         return 16 * a * c * (4 * a * c - b * b) ** 2
 
 
-def build_space(params: FamilyParams, d, kind: str) -> HomogeneousSpace:
-    """Quartic descent curve for class d; kind selects the leading coefficient shape."""
-    k = _quartic_kind(kind)
-    dv = d.value if isinstance(d, SquareClass) else int(d)
-    if dv == 0:
+def build_space(params: FamilyParams, d: int, kind: str) -> HomogeneousSpace:
+    """Descent quartic of the class d: C_d for PHI, C'_d for PHI_HAT."""
+    check_kind(kind)
+    if d == 0:
         raise ValueError("d must be nonzero")
     D = params.D
-    s = params.epsilon * (params.p + params.q) * D * dv
-    if k == KIND_C:
-        space = HomogeneousSpace(k, dv, 4 * D * D, -2 * s, dv * dv)
+    s = params.epsilon * (params.p + params.q) * D * d
+    if kind == PHI:
+        space = HomogeneousSpace(kind, d, 4 * D * D, -2 * s, d * d)
     else:
-        space = HomogeneousSpace(k, dv, params.p * params.q * D * D, s, dv * dv)
+        space = HomogeneousSpace(kind, d, params.p * params.q * D * D, s, d * d)
     assert space.disc() != 0, "descent quartic must be separable"
     return space

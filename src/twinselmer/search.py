@@ -12,9 +12,10 @@ raised as a counterexample (ClaimFailedError), never returned.
 from __future__ import annotations
 
 import time
-from functools import lru_cache
+from functools import cache
 
-from .arith import legendre_symbol, primes_up_to, twin_pairs_up_to
+from .arith import legendre_symbol  # noqa: F401  (kept importable; the bench tracer wraps it)
+from .arith import primes_up_to, twin_pairs_up_to
 from .family import PHI, PHI_HAT, FamilyParams, validate_params
 from .selmer import compute_selmer  # noqa: F401  (kept importable; the bench tracer wraps it)
 from .theorems import (
@@ -46,15 +47,11 @@ class _Deadline:
     def expired(self) -> bool:
         return self.seconds is not None and time.monotonic() - self.start >= self.seconds
 
-    def remaining(self) -> float | None:
-        if self.seconds is None:
-            return None
-        return max(0.0, self.seconds - (time.monotonic() - self.start))
 
-
-@lru_cache(maxsize=4)
-def _twin_table(limit: int) -> tuple[tuple[int, int], ...]:
-    return tuple(twin_pairs_up_to(limit))
+@cache
+def _twin_table() -> tuple[tuple[int, int], ...]:
+    """Twin pairs below _TWIN_LIMIT, sieved on the first search rather than at import."""
+    return tuple(twin_pairs_up_to(_TWIN_LIMIT))
 
 
 def _note(progress, msg: str) -> None:
@@ -62,12 +59,8 @@ def _note(progress, msg: str) -> None:
         progress(msg)
 
 
-def _pair_ok(a: int, b: int) -> bool:
-    return legendre_symbol(a, b) == 1 and legendre_symbol(b, a) == 1
-
-
-def _combos(pool, n, pairwise, deadline, chosen=(), start=0):
-    """Ascending n-subsets of pool, pairwise-pruned; stops early once deadline expires.
+def _combos(pool, n, cs, deadline, chosen=(), start=0):
+    """Ascending n-subsets of pool, pruned by cs.pair_ok; stops early once deadline expires.
 
     The pruned backtracking can run for minutes between two yields, so the
     deadline is checked at every node, not only between combos.
@@ -79,8 +72,8 @@ def _combos(pool, n, pairwise, deadline, chosen=(), start=0):
         if deadline.expired():
             return
         cand = pool[idx]
-        if not pairwise or all(_pair_ok(cand, c) for c in chosen):
-            yield from _combos(pool, n, pairwise, deadline, chosen + (cand,), idx + 1)
+        if all(cs.pair_ok(cand, c) for c in chosen):
+            yield from _combos(pool, n, cs, deadline, chosen + (cand,), idx + 1)
 
 
 def find_family(
@@ -89,14 +82,13 @@ def find_family(
     n: int,
     bound: int,
     *,
-    twin_limit: int = _TWIN_LIMIT,
     time_budget: float | None = None,
     progress=None,
 ) -> FamilyParams | None:
     """Smallest admissible instance of a catalog entry's hypotheses, or None.
 
     All D_i are kept <= bound; twin pairs are scanned ascending from the
-    fixed table below twin_limit.  Raises ClaimFailedError when the claim
+    fixed table of twin pairs below 10^6.  Raises ClaimFailedError when the claim
     fails on the first admissible instance.
     """
     cs = CONSTRAINTS.get(corollary_id)
@@ -111,7 +103,7 @@ def find_family(
     deadline = _Deadline(time_budget)
     base_pool = [r for r in primes_up_to(bound) if r % 2 == 1]
     tested = 0
-    for p, q in _twin_table(twin_limit):
+    for p, q in _twin_table():
         if deadline.expired():
             _note(progress, f"time budget exhausted after {tested} candidate sets")
             return None
@@ -120,7 +112,7 @@ def find_family(
         pool = [r for r in base_pool if r not in (p, q) and cs.d_ok(r, p, q)]
         if len(pool) < n:
             continue
-        for combo in _combos(pool, n, cs.pairwise_one, deadline):
+        for combo in _combos(pool, n, cs, deadline):
             tested += 1
             if not cs.set_ok(p, combo):
                 continue

@@ -1,7 +1,8 @@
 """Selmer groups as the kernel of the local-image map over GF(2).
 
-A class d on the basis (-1, 2, p, q, D_1..D_n) belongs to the group exactly
-when its descent quartic has points in every completion at the bad places.
+A class d, a signed squarefree integer on the basis (-1, 2, p, q,
+D_1..D_n), belongs to the group exactly when its descent quartic has points
+in every completion at the bad places.
 Solvability at a place v depends only on the class of d in Q_v*/Q_v*^2,
 because z -> u*z maps C_{d*u^2} onto C_d, and the classes where it holds
 form a subgroup there (Silverman, AEC X.4).  So the engine maps the basis
@@ -11,8 +12,10 @@ that passed every earlier place (at most 2 + 8 + 4(n + 2) oracle calls per
 group).  It checks that the solvable classes form a subgroup, and the
 survivors are the kernel of the stacked annihilators of those subgroups.
 The 2^(n+4) square classes are never enumerated; elements are listed from
-the basis when first asked for.  A class no survivor reaches is skipped:
-at a large prime an unsolvable class costs a scan of every residue.
+the basis when asked for.  A class no survivor reaches is skipped: at a
+large prime an unsolvable class costs a scan of every residue.  The kernel
+works on exponent bits (family.class_of_integer); every class it hands out,
+the basis included, is an int d (FamilyParams.value).
 
 A local class is an int of GF(2) coordinates, localsolve.local_class: the
 sign at infinity, and at a prime the valuation's parity and the unit's
@@ -33,11 +36,9 @@ from functools import cached_property
 
 from .family import (
     INF_PLACE,
-    PHI,
-    PHI_HAT,
     FamilyParams,
-    SquareClass,
     build_space,
+    check_kind,
     class_of_integer,
     enumerate_square_classes,  # noqa: F401  (kept importable; the bench tracer wraps it)
 )
@@ -74,7 +75,7 @@ def _class_reps(columns) -> dict[int, int]:
 def class_representatives(params: FamilyParams, place) -> dict[int, int]:
     """Each local class at place the basis reaches, with the d that _decide decides it on."""
     reps = _class_reps(_columns(params, place))
-    return {c: SquareClass(bits, params.basis()).value for c, bits in reps.items()}
+    return {c: params.value(bits) for c, bits in reps.items()}
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def _decide(table: dict, params: FamilyParams, kind: str, place, c: int, reps=No
     if entry is None:
         if reps is None:
             reps = _class_reps(_columns(params, place))
-        d = SquareClass(reps[c], params.basis()).value
+        d = params.value(reps[c])
         entry = table[(place, c)] = ClassVerdict(d, local_verdict(build_space(params, d, kind), place))
     return entry
 
@@ -112,6 +113,9 @@ def _decide(table: dict, params: FamilyParams, kind: str, place, c: int, reps=No
 @dataclass(frozen=True)
 class SelmerGroup:
     """One descent Selmer group: its reduced GF(2) basis and the local verdicts behind it.
+
+    basis is the reduced basis, each vector as its int d, ordered by the lowest
+    set bit of its exponent bits.
 
     verdict_table maps (place, local class) to its ClassVerdict.  It holds
     the classes the kernel needed: at each place, those reached by the
@@ -123,7 +127,7 @@ class SelmerGroup:
 
     kind: str
     params: FamilyParams
-    basis: tuple[SquareClass, ...]
+    basis: tuple[int, ...]
     verdict_table: dict
 
     @property
@@ -135,26 +139,26 @@ class SelmerGroup:
         return 1 << self.dim2
 
     @cached_property
-    def elements(self) -> tuple[SquareClass, ...]:
-        """Every member in ascending bit order: the span of the basis, built on first use."""
-        span = [0]
-        for b in self.basis:
-            span += [x ^ b.bits for x in span]
-        generators = self.params.basis()
-        return tuple(SquareClass(bits, generators) for bits in sorted(span))
+    def _basis_bits(self) -> tuple[int, ...]:
+        """The exponent bits of each basis vector: the reduced GF(2) rows."""
+        return tuple(class_of_integer(self.params, d) for d in self.basis)
 
     def element_values(self) -> list[int]:
-        return sorted(cls.value for cls in self.elements)
+        """Every member, ascending: the span of the basis."""
+        span = [0]
+        for row in self._basis_bits:
+            span += [x ^ row for x in span]
+        return sorted(self.params.value(bits) for bits in span)
 
     def contains_value(self, v: int) -> bool:
         """Span membership of v's class; False when v is not a class on the basis."""
         try:
-            bits = class_of_integer(self.params, v).bits
+            bits = class_of_integer(self.params, v)
         except ValueError:
             return False
-        for b in self.basis:  # reduced rows: each pivot (lowest bit) is in one row only
-            if bits & b.bits & -b.bits:
-                bits ^= b.bits
+        for row in self._basis_bits:  # reduced rows: each pivot (lowest bit) is in one row only
+            if bits & row & -row:
+                bits ^= row
         return bits == 0
 
     def verdict_at(self, d: int, place) -> LocalVerdict:
@@ -209,12 +213,11 @@ def _kernel(rows, width: int) -> list[int]:
 
 def compute_selmer(params: FamilyParams, kind: str) -> SelmerGroup:
     """Kernel of the local-image map, deciding one class per (place, local class) at most."""
-    if kind not in (PHI, PHI_HAT):
-        raise ValueError(f"kind must be {PHI!r} or {PHI_HAT!r}, got {kind!r}")
-    generators = params.basis()
+    check_kind(kind)
+    width = len(params.basis())
     table: dict = {}
     rows = []
-    survivors = [1 << j for j in range(len(generators))]  # basis of the classes passing so far
+    survivors = [1 << j for j in range(width)]  # basis of the classes passing so far
     for place in params.places():
         columns = _columns(params, place)
         reps = _class_reps(columns)
@@ -230,8 +233,8 @@ def compute_selmer(params: FamilyParams, kind: str) -> SelmerGroup:
         for f in range(1, 8):
             if not any((f & s).bit_count() & 1 for s in solvable):
                 rows.append(sum(((f & col).bit_count() & 1) << j for j, col in enumerate(columns)))
-        survivors = _kernel(rows, len(generators))
-    basis = tuple(SquareClass(b, generators) for b in gf2_rref(survivors))
+        survivors = _kernel(rows, width)
+    basis = tuple(params.value(b) for b in gf2_rref(survivors))
     return SelmerGroup(kind, params, basis, table)
 
 
@@ -261,7 +264,7 @@ def to_jsonable(
         "params": group.params.as_dict(),
         "dim2": group.dim2,
         "order": group.order,
-        "basis": [cls.value for cls in group.basis],
+        "basis": list(group.basis),
     }
     if include_elements:
         out["elements"] = group.element_values()

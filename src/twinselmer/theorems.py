@@ -183,9 +183,9 @@ class ConstraintSet:
 
     They are split by what they read, so the search can apply each as early
     as it can: p alone (p_ok), one D prime against the twin pair (d_ok), the
-    chosen D primes as a set (set_ok), and every ordered pair of D primes
-    (pairwise_one).  holds() is all of them on one instance; epsilon is
-    checked by the caller.
+    chosen D primes as a set (set_ok), and every pair of D primes (pair_ok,
+    which applies when pairwise_one is set).  holds() is all of them on one
+    instance; epsilon is checked by the caller.
     """
 
     epsilon: int
@@ -226,16 +226,17 @@ class ConstraintSet:
             return False
         return self.p_minus_d_mod8 is None or (p - prod(d_primes)) % 8 in self.p_minus_d_mod8
 
+    def pair_ok(self, a: int, b: int) -> bool:
+        """The pairwise clause on two D primes: each is a QR modulo the other, if pairwise_one."""
+        return not self.pairwise_one or (legendre_symbol(a, b) == 1 and legendre_symbol(b, a) == 1)
+
     def holds(self, params: FamilyParams) -> bool:
         p, q, Ds = params.p, params.q, params.d_primes
         return (
             self.p_ok(p)
             and all(self.d_ok(r, p, q) for r in Ds)
             and self.set_ok(p, Ds)
-            and (
-                not self.pairwise_one
-                or all(legendre_symbol(Dj, Di) == 1 for Di in Ds for Dj in Ds if Di != Dj)
-            )
+            and all(self.pair_ok(a, b) for i, a in enumerate(Ds) for b in Ds[i + 1 :])
         )
 
 

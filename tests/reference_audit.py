@@ -29,8 +29,7 @@ def enumerating_audit(params, groups=None) -> list[dict]:
     rows = []
     for kind in (PHI, PHI_HAT):
         group = groups[kind]
-        for cls in enumerate_square_classes(params):
-            dv = cls.value
+        for dv in enumerate_square_classes(params):
             for place in params.places():
                 cf = criteria.closed_form_local(params, kind, dv, place)
                 if not cf.applicable:

@@ -11,7 +11,7 @@ import pytest
 
 import twinselmer as ts
 from twinselmer.criteria import audit_params
-from twinselmer.family import KIND_C, KIND_CPRIME, build_space, enumerate_square_classes, validate_params
+from twinselmer.family import build_space, enumerate_square_classes, validate_params
 from twinselmer.localsolve import padic_solvable
 from twinselmer.search import demonstrate_large_selmer, find_family
 from twinselmer.selmer import compute_selmer
@@ -88,8 +88,8 @@ def test_criterion_5_bound_suite(agreement_suite, capsys):
             "phi-hat-cap": ghat.dim2 <= (n + 3 if params.epsilon == 1 else n + 2),
             "forced-subset": {1, p * q, -params.epsilon * p * D, -params.epsilon * q * D}
             <= set(ghat.element_values()),
-            "closure-phi": check_group_closure(gphi.elements),
-            "closure-phi-hat": check_group_closure(ghat.elements),
+            "closure-phi": check_group_closure(params, gphi.element_values()),
+            "closure-phi-hat": check_group_closure(params, ghat.element_values()),
         }
         failures += [(params.label(), name) for name, ok in checks.items() if not ok]
     _report(
@@ -106,15 +106,15 @@ def test_criterion_6_oracle_completeness(capsys):
     stats = {}
     pairs = 0
     for params in instances:
-        for kind in (KIND_C, KIND_CPRIME):
-            for cls in enumerate_square_classes(params):
-                space = build_space(params, cls, kind)
+        for kind in (ts.PHI, ts.PHI_HAT):
+            for d in enumerate_square_classes(params):
+                space = build_space(params, d, kind)
                 for place in params.places()[1:]:
                     pairs += 1
                     dfs = padic_solvable(space, place).solvable
                     bfs = brute_padic_solvable(space, place, stats)
                     if dfs != bfs:
-                        mismatches.append((params.label(), kind, cls.value, place, dfs, bfs))
+                        mismatches.append((params.label(), kind, d, place, dfs, bfs))
     elapsed = time.time() - t0
     for row in mismatches[:10]:
         print("completeness mismatch:", row)

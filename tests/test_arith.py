@@ -95,34 +95,6 @@ def test_is_prime_large():
     assert not arith.is_prime((2**89 - 1) * (2**107 - 1))
 
 
-def test_crt_solve_examples():
-    assert arith.crt_solve([(1, 4), (2, 3)]) == (5, 12)
-    assert arith.crt_solve([(0, 2), (1, 2)]) is None
-    assert arith.crt_solve([(1, 8), (1, 3), (1, 5)]) == (1, 120)
-    assert arith.crt_solve([]) == (0, 1)
-
-
-def test_crt_solve_satisfies_congruences():
-    rng = random.Random(99)
-    for _ in range(200):
-        moduli = rng.sample([3, 4, 5, 7, 8, 9, 11, 25], rng.randint(1, 4))
-        system = [(rng.randrange(m), m) for m in moduli]
-        res = arith.crt_solve(system)
-        if res is None:
-            # inconsistency only possible with shared factors
-            continue
-        x, mod = res
-        assert 0 <= x < mod
-        for r, m in system:
-            assert x % m == r
-            assert mod % m == 0
-
-
-def test_crt_solve_non_coprime_consistent():
-    assert arith.crt_solve([(2, 4), (2, 6)]) == (2, 12)
-    assert arith.crt_solve([(2, 4), (3, 6)]) is None
-
-
 def test_twin_pairs_table():
     pairs = arith.twin_pairs_up_to(100)
     assert pairs[0] == (3, 5)

@@ -12,6 +12,8 @@ import pytest
 
 from twinselmer import cli, search
 from twinselmer.arith import primes_up_to
+from twinselmer.family import PHI, validate_params
+from twinselmer.selmer import compute_selmer
 
 from helpers import failing_verify
 
@@ -91,6 +93,23 @@ def test_compute_seed_table(capsys):
     assert lines[:2] == ["# twinselmer-csv v3 verdicts", "place,class,d,solvable,search_depth,witness"]
     assert len(lines) == 2 + sum(len(classes) for classes in verdicts.values())
     assert lines[2].startswith("inf,sign=+1,1,True,0,")
+
+
+def test_compute_text_seed_table(capsys):
+    # text prints one verdict line per local_images() entry after the basis line
+    base = ("compute", "--epsilon", "+1", "--p", "3", "--q", "5", "--D", "61")
+    _, plain, _ = run_cli(capsys, *base)
+    code, out, _ = run_cli(capsys, *base, "--seed-table")
+    assert code == cli.EXIT_OK and out != plain
+    lines = out.splitlines()
+    assert lines[:2] == plain.splitlines()
+    images = compute_selmer(validate_params(1, 3, 5, [61]), PHI).local_images()
+    assert len(lines) == 2 + len(images)
+    assert lines[2].startswith("  place=inf class=sign=+1 d=1 solvable=True search_depth=0 witness={")
+    assert "  place=61 class=val=1,unit=1 d=61 solvable=True search_depth=1 witness={" in out
+    assert "  place=61 class=val=0,unit=-1 d=2 solvable=False search_depth=2 witness=\n" in out
+    _, both, _ = run_cli(capsys, *base, "--seed-table", "--elements")
+    assert both.splitlines() == lines + ["elements={1, 61}"]
 
 
 def _timed_compute(capsys, *argv):

@@ -36,22 +36,21 @@ def test_beta_examples():
 
 def test_closed_form_local_examples():
     params = validate_params(1, 3, 5, [7])
-    v = closed_form_local(params, ts.PHI, ts.class_of_integer(params, 2), 2)
+    v = closed_form_local(params, ts.PHI, 2, 2)
     assert v.applicable and v.solvable is False  # 7*(-7) = 9 mod 16
-    v = closed_form_local(params, ts.PHI, ts.class_of_integer(params, -3), "inf")
+    v = closed_form_local(params, ts.PHI, -3, "inf")
     assert v.applicable and v.solvable is False
-    v = closed_form_local(params, ts.PHI, ts.class_of_integer(params, -3), 3)
+    v = closed_form_local(params, ts.PHI, -3, 3)
     assert v.applicable and v.solvable is False and v.rule_id == "C:val-p"
     params61 = validate_params(1, 3, 5, [61])
-    v = closed_form_local(params61, ts.PHI, ts.class_of_integer(params61, 61), 61)
+    v = closed_form_local(params61, ts.PHI, 61, 61)
     assert v.applicable and v.solvable is True
 
 
 def test_closed_form_defers_where_unstated():
     params = validate_params(1, 3, 5, [7])
     # products like 2*D_i at odd places carry no stated rule
-    cls = ts.class_of_integer(params, 14)
-    assert not closed_form_local(params, ts.PHI, cls, 7).applicable
+    assert not closed_form_local(params, ts.PHI, 14, 7).applicable
     # no real rule is stated for the C kind when epsilon = -1
     params_neg = validate_params(-1, 3, 5, [7])
     assert not closed_form_local(params_neg, ts.PHI, 7, "inf").applicable
@@ -59,24 +58,24 @@ def test_closed_form_defers_where_unstated():
 
 def test_membership_examples():
     params = validate_params(1, 71, 73, [17])
-    assert membership_closed_form(params, ts.PHI, ts.class_of_integer(params, 2)) is True
+    assert membership_closed_form(params, ts.PHI, 2) is True
     params = validate_params(-1, 17, 19, [11])
-    assert membership_closed_form(params, ts.PHI, ts.class_of_integer(params, -2)) is True
+    assert membership_closed_form(params, ts.PHI, -2) is True
     params = validate_params(1, 3, 5, [7])
     # alpha = 4 != 0 blocks the -pq class
-    assert membership_closed_form(params, ts.PHI_HAT, ts.class_of_integer(params, -15)) is False
+    assert membership_closed_form(params, ts.PHI_HAT, -15) is False
     # silent cells stay undecided
-    assert membership_closed_form(params, ts.PHI_HAT, ts.class_of_integer(params, -1)) is None
+    assert membership_closed_form(params, ts.PHI_HAT, -1) is None
 
 
 def test_membership_excludes():
     params = validate_params(1, 3, 5, [7])
-    assert membership_closed_form(params, ts.PHI, ts.class_of_integer(params, -7)) is False
-    assert membership_closed_form(params, ts.PHI, ts.class_of_integer(params, 15)) is False
-    assert membership_closed_form(params, ts.PHI_HAT, ts.class_of_integer(params, 2)) is False
+    assert membership_closed_form(params, ts.PHI, -7) is False
+    assert membership_closed_form(params, ts.PHI, 15) is False
+    assert membership_closed_form(params, ts.PHI_HAT, 2) is False
     params_neg = validate_params(-1, 3, 5, [7])
-    assert membership_closed_form(params_neg, ts.PHI, ts.class_of_integer(params_neg, -1)) is False
-    assert membership_closed_form(params_neg, ts.PHI_HAT, ts.class_of_integer(params_neg, -7)) is False
+    assert membership_closed_form(params_neg, ts.PHI, -1) is False
+    assert membership_closed_form(params_neg, ts.PHI_HAT, -7) is False
 
 
 def test_single_prime_membership_tracks_score():
@@ -87,7 +86,7 @@ def test_single_prime_membership_tracks_score():
             continue
         for i, Di in enumerate(params.d_primes, 1):
             want = pi_plus(params, i) == 0
-            got = membership_closed_form(params, ts.PHI, ts.class_of_integer(params, Di))
+            got = membership_closed_form(params, ts.PHI, Di)
             assert got == want
             if want:
                 assert Di % 4 == 1
@@ -105,7 +104,7 @@ def test_forced_point_rule_matches_oracle():
     group = ts.compute_selmer(params, ts.PHI_HAT)
     for d in (1, 35, 55, 77):  # 1, pq, pD, qD
         assert d in group.element_values()
-        v = closed_form_local(params, ts.PHI_HAT, ts.class_of_integer(params, d), 11)
+        v = closed_form_local(params, ts.PHI_HAT, d, 11)
         assert v.applicable and v.solvable is True and v.rule_id == "C':rational-point"
 
 
@@ -155,8 +154,8 @@ def _groups(params):
 def _adjoin(group, value):
     """The group with value's class adjoined to its basis (an oracle that errs on membership)."""
     params = group.params
-    rows = [b.bits for b in group.basis] + [ts.class_of_integer(params, value).bits]
-    basis = tuple(ts.SquareClass(b, params.basis()) for b in selmer.gf2_rref(rows))
+    rows = [ts.class_of_integer(params, d) for d in group.basis + (value,)]
+    basis = tuple(params.value(b) for b in selmer.gf2_rref(rows))
     return dataclasses.replace(group, basis=basis)
 
 
@@ -225,8 +224,7 @@ def test_audit_covers_every_applicable_cell():
         values = criteria._rule_values(params)
         reps = {place: selmer.class_representatives(params, place) for place in params.places()}
         for kind in (ts.PHI, ts.PHI_HAT):
-            for cls in ts.enumerate_square_classes(params):
-                dv = cls.value
+            for dv in ts.enumerate_square_classes(params):
                 mem = criteria._membership_with_rule(params, kind, dv)
                 if mem is not None:
                     assert mem[1] in MEMBERSHIP_RULES

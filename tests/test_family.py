@@ -3,17 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twinselmer as ts
 from twinselmer.family import (
-    KIND_C,
-    KIND_CPRIME,
+    PHI,
+    PHI_HAT,
     HomogeneousSpace,
     InvalidParamsError,
     build_space,
     class_of_integer,
     enumerate_square_classes,
-    identity_class,
     validate_params,
 )
 from helpers import random_instances
@@ -57,8 +58,8 @@ def test_enumerate_square_classes_counts():
     params = validate_params(1, 3, 5, [7])
     classes = enumerate_square_classes(params)
     assert len(classes) == 32
-    assert len({cls.value for cls in classes}) == 32
-    assert identity_class(params).value == 1
+    assert len(set(classes)) == 32
+    assert params.value(0) == 1
     params2 = validate_params(1, 3, 5, [7, 11])
     assert len(enumerate_square_classes(params2)) == 64
 
@@ -74,18 +75,18 @@ def test_group_law_matches_multiplication_mod_squares():
         return m
 
     rng = random.Random(31)
-    classes = enumerate_square_classes(params)
+    bits = range(1 << (params.n + 4))
     for _ in range(200):
-        a, b = rng.choice(classes), rng.choice(classes)
-        assert (a * b).value == squarefree_part(a.value * b.value)
+        a, b = rng.choice(bits), rng.choice(bits)
+        assert params.value(a ^ b) == squarefree_part(params.value(a) * params.value(b))
 
 
 def test_class_of_integer():
     params = validate_params(1, 3, 5, [7])
-    cls = class_of_integer(params, -21)
-    assert cls.value == -21
-    assert str(cls) == "-21"
-    assert class_of_integer(params, 1).bits == 0
+    bits = class_of_integer(params, -21)
+    assert params.value(bits) == -21
+    assert bits == 0b10101  # -1, p = 3 and D_1 = 7 on the basis (-1, 2, 3, 5, 7)
+    assert class_of_integer(params, 1) == 0
     with pytest.raises(ValueError):
         class_of_integer(params, 11)  # 11 outside the basis
     with pytest.raises(ValueError):
@@ -96,28 +97,53 @@ def test_class_of_integer():
 
 def test_class_roundtrip_all():
     params = validate_params(-1, 5, 7, [3, 11])
-    for cls in enumerate_square_classes(params):
-        assert class_of_integer(params, cls.value) == cls
+    for bits, d in enumerate(enumerate_square_classes(params)):
+        assert class_of_integer(params, d) == bits
+
+
+_TWINS = [t for t in ts.arith.twin_pairs_up_to(200) if t[1] < 200]
+_ODD_PRIMES = [r for r in ts.arith.primes_up_to(200) if r > 2]
+
+
+@st.composite
+def _params_and_bits(draw):
+    """Random valid params and two exponent-bit vectors below 2^(n+4)."""
+    p, q = draw(st.sampled_from(_TWINS))
+    pool = [r for r in _ODD_PRIMES if r not in (p, q)]
+    ds = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
+    params = validate_params(draw(st.sampled_from((1, -1))), p, q, ds)
+    bits = st.integers(0, (1 << (params.n + 4)) - 1)
+    return params, draw(bits), draw(bits)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_params_and_bits())
+def test_value_and_class_of_integer_are_inverse_homomorphisms(case):
+    # XOR of exponent bits is multiplication modulo squares: the shared
+    # generators of a and b are the square factor
+    params, a, b = case
+    value = params.value
+    assert value(a) * value(b) == value(a ^ b) * value(a & b) ** 2
+    assert class_of_integer(params, value(a)) == a
 
 
 def test_build_space_coefficients():
     params = validate_params(1, 3, 5, [7])
-    space = build_space(params, 2, KIND_C)
+    space = build_space(params, 2, PHI)
     assert (space.u4, space.u2, space.u0) == (196, -224, 4)
-    space = build_space(params, 1, KIND_CPRIME)
+    space = build_space(params, 1, PHI_HAT)
     assert (space.u4, space.u2, space.u0) == (735, 56, 1)
     params_neg = validate_params(-1, 3, 5, [7])
-    space = build_space(params_neg, 1, KIND_CPRIME)
+    space = build_space(params_neg, 1, PHI_HAT)
     assert (space.u4, space.u2, space.u0) == (735, -56, 1)
 
 
 def test_build_space_structure():
     for params in random_instances(seed=11, count=5, prime_bound=60):
         D = params.D
-        for cls in enumerate_square_classes(params):
-            c_space = build_space(params, cls, KIND_C)
-            cp_space = build_space(params, cls, KIND_CPRIME)
-            d = cls.value
+        for d in enumerate_square_classes(params):
+            c_space = build_space(params, d, PHI)
+            cp_space = build_space(params, d, PHI_HAT)
             assert c_space.g(0) == d * d and cp_space.g(0) == d * d
             assert c_space.u4 == 4 * D * D
             assert cp_space.u4 == params.p * params.q * D * D
@@ -126,14 +152,32 @@ def test_build_space_structure():
 
 def test_build_space_accepts_kind_aliases():
     params = validate_params(1, 3, 5, [7])
-    assert build_space(params, 1, ts.PHI).kind == KIND_C
-    assert build_space(params, 1, ts.PHI_HAT).kind == KIND_CPRIME
+    assert build_space(params, 1, ts.PHI).kind == PHI
+    assert build_space(params, 1, ts.PHI_HAT).kind == PHI_HAT
     with pytest.raises(ValueError):
         build_space(params, 1, "nope")
 
 
+@pytest.mark.parametrize("kind", ["C", "C'", "PHI", "phi-hat", "", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda params, kind: build_space(params, 1, kind),
+        lambda params, kind: ts.closed_form_local(params, kind, 1, 2),
+        lambda params, kind: ts.membership_closed_form(params, kind, 1),
+        lambda params, kind: ts.compute_selmer(params, kind),
+    ],
+    ids=["build_space", "closed_form_local", "membership_closed_form", "compute_selmer"],
+)
+def test_unknown_kind_is_rejected(call, kind):
+    # phi and phi_hat are the only directions; the retired quartic names
+    # "C" and "C'" must not pass as either
+    with pytest.raises(ValueError, match="kind must be"):
+        call(validate_params(1, 3, 5, [7]), kind)
+
+
 def test_quartic_disc_formula():
     # biquadratic discriminant against the resultant definition on one case
-    space = HomogeneousSpace(KIND_C, 2, 196, -224, 4)
+    space = HomogeneousSpace(PHI, 2, 196, -224, 4)
     # disc(a z^4 + b z^2 + c) = 16 a c (4 a c - b^2)^2
     assert space.disc() == 16 * 196 * 4 * (4 * 196 * 4 - 224 * 224) ** 2

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import twinselmer as ts
 from twinselmer.arith import _int_valuation, primes_up_to, twin_pairs_up_to
-from twinselmer.family import KIND_C, KIND_CPRIME, HomogeneousSpace, build_space, enumerate_square_classes, validate_params
+from twinselmer.family import PHI, PHI_HAT, HomogeneousSpace, build_space, enumerate_square_classes, validate_params
 from twinselmer.localsolve import local_class, local_verdict, padic_solvable, real_solvable
 from twinselmer.selmer import compute_selmer
 
@@ -25,36 +25,36 @@ _SMALL_NONZERO = st.integers(-(10**4), 10**4).filter(bool)
 
 def test_real_c_kind_sign_rule():
     params = validate_params(1, 3, 5, [7])
-    assert real_solvable(build_space(params, 5, KIND_C)).solvable
-    assert not real_solvable(build_space(params, -5, KIND_C)).solvable
+    assert real_solvable(build_space(params, 5, PHI)).solvable
+    assert not real_solvable(build_space(params, -5, PHI)).solvable
     # every positive class passes, every negative one fails
-    for cls in enumerate_square_classes(params):
-        verdict = real_solvable(build_space(params, cls, KIND_C))
-        assert verdict.solvable == (cls.value > 0)
+    for d in enumerate_square_classes(params):
+        verdict = real_solvable(build_space(params, d, PHI))
+        assert verdict.solvable == (d > 0)
 
 
 def test_real_cprime_always_solvable_plus():
     params = validate_params(1, 3, 5, [7])
-    for cls in enumerate_square_classes(params):
-        assert real_solvable(build_space(params, cls, KIND_CPRIME)).solvable
+    for d in enumerate_square_classes(params):
+        assert real_solvable(build_space(params, d, PHI_HAT)).solvable
 
 
 def test_real_cprime_sign_rule_minus():
     params = validate_params(-1, 3, 5, [7])
-    for cls in enumerate_square_classes(params):
-        verdict = real_solvable(build_space(params, cls, KIND_CPRIME))
-        assert verdict.solvable == (cls.value > 0)
+    for d in enumerate_square_classes(params):
+        verdict = real_solvable(build_space(params, d, PHI_HAT))
+        assert verdict.solvable == (d > 0)
 
 
 def test_real_c_kind_minus_always_solvable():
     params = validate_params(-1, 3, 5, [7])
-    for cls in enumerate_square_classes(params):
-        assert real_solvable(build_space(params, cls, KIND_C)).solvable
+    for d in enumerate_square_classes(params):
+        assert real_solvable(build_space(params, d, PHI)).solvable
 
 
 def test_real_witness_visible_point():
     params = validate_params(1, 3, 5, [7])
-    space = build_space(params, -21, KIND_CPRIME)  # d = -p*D, point (1, 0)
+    space = build_space(params, -21, PHI_HAT)  # d = -p*D, point (1, 0)
     verdict = real_solvable(space)
     assert verdict.solvable
     # the sign rule decides it: s = z^2 at the vertex, where d*g(s) >= 0
@@ -67,15 +67,15 @@ def test_real_witness_visible_point():
 def test_padic_two_adic_congruence_cases():
     # D = 7: 7*(7-8) = -7 = 9 mod 16, so the d=2 curve fails at 2
     params = validate_params(1, 3, 5, [7])
-    assert not padic_solvable(build_space(params, 2, KIND_C), 2).solvable
+    assert not padic_solvable(build_space(params, 2, PHI), 2).solvable
     # D = 77: 77*69 = 1 mod 16, so it passes at 2
     params = validate_params(1, 3, 5, [7, 11])
-    assert padic_solvable(build_space(params, 2, KIND_C), 2).solvable
+    assert padic_solvable(build_space(params, 2, PHI), 2).solvable
 
 
 def test_padic_visible_point_all_places():
     params = validate_params(1, 3, 5, [7])
-    space = build_space(params, -21, KIND_CPRIME)
+    space = build_space(params, -21, PHI_HAT)
     for l in (2, 3, 5, 7):
         verdict = padic_solvable(space, l)
         assert verdict.solvable
@@ -217,7 +217,7 @@ def _check_square_class_certificate(space, l, w):
 def test_square_class_certificates_check_out():
     params = validate_params(1, 3, 5, [7, 11])
     for d in (7, 11, 77, -77, 2):
-        space = build_space(params, d, KIND_C)
+        space = build_space(params, d, PHI)
         for l in (2, 3, 5, 7, 11):
             verdict = padic_solvable(space, l)
             if verdict.solvable and verdict.witness["type"] == "square_class":
@@ -229,7 +229,7 @@ def test_two_adic_generic_quartics_match_bruteforce():
     # digit; generic even quartics do, and exercise the mod-8 refinement
     grid = itertools.product((1, 3, 5, 7, -1, 2, 6), (1, 3, 5, 2, 4, 12), (0, 1, 2, 3, 6), (1, 3, 5, 2, 4))
     for d, u0, u2, u4 in grid:
-        space = HomogeneousSpace(KIND_C, d, u4, u2, u0)
+        space = HomogeneousSpace(PHI, d, u4, u2, u0)
         if space.disc() == 0:
             continue
         verdict = padic_solvable(space, 2)
@@ -245,14 +245,14 @@ def test_oracle_matches_bruteforce_small():
     wide = random_instances(seed=1003, count=6, prime_bound=400, max_n=4)
     cases += [(params, (2,)) for params in wide]
     for params, places in cases:
-        for kind in (KIND_C, KIND_CPRIME):
-            for cls in enumerate_square_classes(params):
-                space = build_space(params, cls, kind)
+        for kind in (PHI, PHI_HAT):
+            for d in enumerate_square_classes(params):
+                space = build_space(params, d, kind)
                 for place in places:
                     assert (
                         padic_solvable(space, place).solvable
                         == brute_padic_solvable(space, place)
-                    ), (params.label(), kind, cls.value, place)
+                    ), (params.label(), kind, d, place)
 
 
 def test_good_primes_always_solvable():
@@ -260,7 +260,7 @@ def test_good_primes_always_solvable():
     params = validate_params(1, 3, 5, [7])
     bad = set(params.places()[1:])
     for cls in (1, 2, -1, 7, -35, 105):
-        space = build_space(params, cls, KIND_C)
+        space = build_space(params, cls, PHI)
         for l in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
             assert l not in bad
             assert padic_solvable(space, l).solvable, (cls, l)
@@ -269,9 +269,9 @@ def test_good_primes_always_solvable():
 def test_reciprocal_symmetry():
     # swapping z <-> 1/z gives the reversed quartic and the same verdict
     for params in random_instances(seed=77, count=4, prime_bound=50):
-        for kind in (KIND_C, KIND_CPRIME):
+        for kind in (PHI, PHI_HAT):
             for d in (params.D, -params.D, 2 * params.p, params.d_primes[0]):
-                space = build_space(params, ts.class_of_integer(params, d), kind)
+                space = build_space(params, d, kind)
                 flipped = HomogeneousSpace(space.kind, space.d, space.u0, space.u2, space.u4)
                 if flipped.disc() == 0:
                     continue
@@ -284,7 +284,7 @@ def test_reciprocal_symmetry():
 
 def test_unsolvable_records_depth():
     params = validate_params(1, 3, 5, [7])
-    verdict = padic_solvable(build_space(params, 2, KIND_C), 2)
+    verdict = padic_solvable(build_space(params, 2, PHI), 2)
     assert not verdict.solvable and verdict.witness is None
     # an exhausted search reaches depth >= 2: both patches are searched and
     # patch 2 starts one digit deep
@@ -295,4 +295,4 @@ def test_unsolvable_records_depth():
 def test_padic_rejects_bad_prime():
     params = validate_params(1, 3, 5, [7])
     with pytest.raises(ValueError):
-        padic_solvable(build_space(params, 2, KIND_C), 1)
+        padic_solvable(build_space(params, 2, PHI), 1)
