@@ -74,6 +74,16 @@ def local_class(x: int, place) -> int:
     return v & 1 | (legendre_symbol(u, place) == -1) << 1
 
 
+def class_label(x: int, place) -> str:
+    """Label of local_class(x, place): "sign=+1"/"sign=-1", or "val=<bit 0>,unit=<tag>" at a prime."""
+    c = local_class(x, place)
+    if place == INF_PLACE:
+        return "sign=-1" if c else "sign=+1"
+    # bits 1 and 2 give the Legendre symbol at odd l, the residue mod 8 at 2
+    unit = (1, 7, 5, 3)[c >> 1] if place == 2 else 1 - (c & 2)
+    return f"val={c & 1},unit={unit}"
+
+
 def _rational_witness(space: HomogeneousSpace, z: Fraction, w: Fraction) -> dict:
     assert space.d * w * w == space.g(z), "witness must satisfy the curve exactly"
     return {"type": "rational", "z": z, "w": w}

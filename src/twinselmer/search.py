@@ -11,6 +11,7 @@ raised as a counterexample (ClaimFailedError), never returned.
 
 from __future__ import annotations
 
+import math
 import time
 from functools import cache
 
@@ -37,17 +38,6 @@ class ClaimFailedError(Exception):
         self.report = report
 
 
-class _Deadline:
-    """Cooperative time budget; checked between candidates, never mid-verdict."""
-
-    def __init__(self, seconds: float | None):
-        self.seconds = seconds
-        self.start = time.monotonic()
-
-    def expired(self) -> bool:
-        return self.seconds is not None and time.monotonic() - self.start >= self.seconds
-
-
 @cache
 def _twin_table() -> tuple[tuple[int, int], ...]:
     """Twin pairs below _TWIN_LIMIT, sieved on the first search rather than at import."""
@@ -60,7 +50,7 @@ def _note(progress, msg: str) -> None:
 
 
 def _combos(pool, n, cs, deadline, chosen=(), start=0):
-    """Ascending n-subsets of pool, pruned by cs.pair_ok; stops early once deadline expires.
+    """Ascending n-subsets of pool, pruned by cs.pair_ok; stops once time.monotonic() >= deadline.
 
     The pruned backtracking can run for minutes between two yields, so the
     deadline is checked at every node, not only between combos.
@@ -69,7 +59,7 @@ def _combos(pool, n, cs, deadline, chosen=(), start=0):
         yield chosen
         return
     for idx in range(start, len(pool)):
-        if deadline.expired():
+        if time.monotonic() >= deadline:
             return
         cand = pool[idx]
         if all(cs.pair_ok(cand, c) for c in chosen):
@@ -100,11 +90,12 @@ def find_family(
         raise ValueError(f"{corollary_id} applies to epsilon={cs.epsilon}, got {epsilon}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    deadline = _Deadline(time_budget)
+    # checked between candidates, never mid-verdict
+    deadline = math.inf if time_budget is None else time.monotonic() + time_budget
     base_pool = [r for r in primes_up_to(bound) if r % 2 == 1]
     tested = 0
     for p, q in _twin_table():
-        if deadline.expired():
+        if time.monotonic() >= deadline:
             _note(progress, f"time budget exhausted after {tested} candidate sets")
             return None
         if not cs.p_ok(p):
@@ -123,7 +114,7 @@ def find_family(
             if report.verdict != "not-applicable":
                 _note(progress, f"hit {params.label()} after {tested} candidate sets")
                 return params
-    if deadline.expired():
+    if time.monotonic() >= deadline:
         _note(progress, f"time budget exhausted after {tested} candidate sets")
     else:
         _note(progress, f"bound exhausted after {tested} candidate sets")

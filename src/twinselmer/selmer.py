@@ -23,9 +23,9 @@ class.  The verdict table maps (place, local class) to the representative's
 verdict; verdict_at reads it for any d, and local_images lists every class
 the basis reaches, deciding the skipped ones once each.  In the JSON and CSV
 outputs a class is labelled "sign=+1" / "sign=-1" at infinity and
-"val=<valuation mod 2>,unit=<tag>" at a prime, both read off the class bits:
-the tag is the unit's Legendre symbol at odd l and its residue mod 8 at
-l = 2.
+"val=<valuation mod 2>,unit=<tag>" at a prime, both read off the class bits
+by localsolve.class_label: the tag is the unit's Legendre symbol at odd l
+and its residue mod 8 at l = 2.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from .family import (
-    INF_PLACE,
     FamilyParams,
     build_space,
     check_kind,
     class_of_integer,
     enumerate_square_classes,  # noqa: F401  (kept importable; the bench tracer wraps it)
 )
-from .localsolve import LocalVerdict, local_class, local_verdict
+from .localsolve import LocalVerdict, class_label, local_class, local_verdict
 
 
 def _columns(params: FamilyParams, place) -> list[int]:
@@ -87,13 +86,7 @@ class ClassVerdict:
 
     @property
     def label(self) -> str:
-        place = self.verdict.place
-        c = local_class(self.d, place)
-        if place == INF_PLACE:
-            return "sign=-1" if c else "sign=+1"
-        # bits 1 and 2 give the Legendre symbol at odd l, the residue mod 8 at 2
-        unit = (1, 7, 5, 3)[c >> 1] if place == 2 else 1 - (c & 2)
-        return f"val={c & 1},unit={unit}"
+        return class_label(self.d, self.verdict.place)
 
 
 def _decide(table: dict, params: FamilyParams, kind: str, place, c: int, reps=None) -> ClassVerdict:

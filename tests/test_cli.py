@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from twinselmer import cli, search
+from twinselmer import cli, criteria, search, selmer
 from twinselmer.arith import primes_up_to
 from twinselmer.family import PHI, validate_params
+from twinselmer.localsolve import OracleUndecidedError
 from twinselmer.selmer import compute_selmer
 
 from helpers import failing_verify
@@ -119,8 +120,8 @@ def _timed_compute(capsys, *argv):
 
 
 def test_compute_reaches_the_n_cap(capsys):
-    # the default cap of 20 D primes is usable in every format: each run under 1 s
-    primes = [r for r in primes_up_to(200) if r > 7][:cli.DEFAULT_N_CAP]
+    # 20 D primes in every format: each run under 1 s
+    primes = [r for r in primes_up_to(200) if r > 7][:20]
     fam = ("--epsilon", "+1", "--p", "5", "--q", "7", "--D", ",".join(map(str, primes)))
     for kind in ("phi", "phi_hat"):
         for fmt in ("text", "json", "csv"):
@@ -130,7 +131,7 @@ def test_compute_reaches_the_n_cap(capsys):
                 assert code == cli.EXIT_OK and elapsed < 1.0, (argv, elapsed)
                 if fmt == "json":
                     payload = json.loads(out)
-                    assert len(payload["params"]["d_primes"]) == cli.DEFAULT_N_CAP
+                    assert len(payload["params"]["d_primes"]) == 20
                     assert payload["order"] == 1 << payload["dim2"] == 1 << len(payload["basis"])
                     assert "elements" not in payload and ("verdicts" in payload) == bool(table)
                 elif fmt == "csv" and not table:
@@ -257,13 +258,24 @@ def test_search_target_dim(capsys):
     assert payload["params"]["d_primes"] == [41]
 
 
-def test_search_time_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_TIME_BUDGET, "0.0")
-    code, out, _ = run_cli(
-        capsys, "search", "--epsilon", "+1", "--corollary", "1.2B",
-        "--n", "1", "--bound", "100",
-    )
-    assert code == cli.EXIT_FAILURE and "none" in out
+def test_search_time_budget_flag_and_config(capsys, tmp_path):
+    # a zero budget expires before the first candidate, as a flag or a config key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("time_budget=0\n")
+    base = ("search", "--epsilon", "+1", "--corollary", "1.2B", "--n", "1", "--bound", "100")
+    for extra in (("--time-budget", "0"), ("--config", str(cfg))):
+        code, out, _ = run_cli(capsys, *base, *extra)
+        assert code == cli.EXIT_FAILURE and "none" in out, extra
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--epsilon", "+1", "--p", "3", "--q", "5", "--D", "61"), "--theorem"),
+    (("search", "--corollary", "1.2B"), "--epsilon"),
+    (("search", "--epsilon", "+1"), "--corollary or --target-dim"),
+])
+def test_missing_required_flag_exits_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE and out == "" and message in err
 
 
 def test_audit_agrees(capsys):
@@ -287,7 +299,7 @@ def test_audit_json(capsys):
 
 def test_audit_reaches_the_n_cap(capsys):
     # the audit checks rule cells, not the 2^24 square classes: each sign well under 5 s
-    primes = [r for r in primes_up_to(200) if r > 7][:cli.DEFAULT_N_CAP]
+    primes = [r for r in primes_up_to(200) if r > 7][:20]
     for eps in ("+1", "-1"):
         t0 = time.monotonic()
         code, out, _ = run_cli(
@@ -321,17 +333,74 @@ def test_invalid_params_exit_code(capsys):
     assert code == cli.EXIT_USAGE and "--q" in err
 
 
-def test_n_cap(capsys):
-    code, _, err = run_cli(
-        capsys, "compute", "--epsilon", "+1", "--p", "3", "--q", "5",
-        "--D", "11,13", "--n-cap", "1",
+def test_no_cap_on_the_number_of_d_primes(capsys):
+    # n has no natural bound: the 22-prime hit of a dim2 >= 25 search, and 40
+    # D primes, each run through compute, verify and audit
+    code, out, _ = run_cli(
+        capsys, "search", "--epsilon", "+1", "--kind", "phi_hat", "--target-dim", "25",
+        "--format", "json",
     )
-    assert code == cli.EXIT_USAGE and "cap" in err
-    code, _, _ = run_cli(
-        capsys, "compute", "--epsilon", "+1", "--p", "3", "--q", "5",
-        "--D", "11,13", "--n-cap", "2",
+    hit = json.loads(out)["params"]
+    assert code == cli.EXIT_OK and (hit["p"], hit["q"], len(hit["d_primes"])) == (3, 5, 22)
+    forty = [r for r in primes_up_to(200) if r > 7][:40]
+    for p, q, d_primes, theorem, min_dim in (
+        (3, 5, hit["d_primes"], "1.4ex", 25),
+        (5, 7, forty, "1.3", 0),
+    ):
+        fam = ("--epsilon", "+1", "--p", str(p), "--q", str(q), "--D", ",".join(map(str, d_primes)))
+        code, out, err = run_cli(capsys, "compute", *fam, "--kind", "phi_hat", "--format", "json")
+        assert code == cli.EXIT_OK and err == "", (d_primes, err)
+        payload = json.loads(out)
+        assert payload["params"]["d_primes"] == d_primes and payload["dim2"] >= min_dim
+        code, out, _ = run_cli(capsys, "verify", *fam, "--theorem", theorem, "--format", "json")
+        assert code == cli.EXIT_OK and json.loads(out)["verdict"] == "pass", (theorem, out)
+        code, out, _ = run_cli(capsys, "audit", *fam, "--format", "json")
+        assert code == cli.EXIT_OK and json.loads(out)["count"] == 0
+
+
+def test_verify_csv(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--theorem", "1.2B", "--epsilon", "+1",
+        "--p", "3", "--q", "5", "--D", "61", "--format", "csv",
     )
     assert code == cli.EXIT_OK
+    assert out.splitlines() == [
+        "# twinselmer-csv v3 verify",
+        "theorem,verdict,hypotheses_hold,branch,claimed,observed",
+        '1.2B,pass,True,,order(phi) == 2^1,"{""order_phi"": 2}"',
+    ]
+
+
+def test_audit_reports_a_flipped_rule(capsys, monkeypatch):
+    # flip the real-sign rule of C: every format reports the discrepancy and exits 1
+    rule = criteria._rule
+    monkeypatch.setattr(criteria, "_rule", lambda ok, r: rule(ok != (r == "C:real-sign"), r))
+    fam = ("--epsilon", "+1", "--p", "3", "--q", "5", "--D", "7")
+    code, out, _ = run_cli(capsys, "audit", *fam, "--format", "json")
+    rows = json.loads(out)["discrepancies"]
+    assert code == cli.EXIT_FAILURE and rows and {r["rule"] for r in rows} == {"C:real-sign"}
+    code, out, _ = run_cli(capsys, "audit", *fam)
+    lines = out.splitlines()
+    assert code == cli.EXIT_FAILURE
+    assert lines[0] == f"{len(rows)} discrepancies for eps=+1 p=3 q=5 D=7"
+    assert len(lines) == 1 + len(rows) and all(" rule=C:real-sign " in line for line in lines[1:])
+    code, out, _ = run_cli(capsys, "audit", *fam, "--format", "csv")
+    lines = out.splitlines()
+    assert code == cli.EXIT_FAILURE
+    assert lines[:2] == ["# twinselmer-csv v3 audit", "check,kind,d,place,rule,closed_form,oracle"]
+    assert len(lines) == 2 + len(rows) and all(",C:real-sign," in line for line in lines[2:])
+
+
+def test_oracle_undecided_exits_three(capsys, monkeypatch):
+    def undecided(space, place):
+        raise OracleUndecidedError(f"depth cap exceeded at {place}")
+
+    monkeypatch.setattr(selmer, "local_verdict", undecided)
+    code, out, err = run_cli(
+        capsys, "compute", "--epsilon", "+1", "--p", "3", "--q", "5", "--D", "61",
+    )
+    assert code == cli.EXIT_UNDECIDED and out == ""
+    assert err.startswith("error: oracle undecided: depth cap exceeded at ")
 
 
 def test_config_overrides_flags(capsys, tmp_path):

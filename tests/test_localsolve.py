@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import twinselmer as ts
 from twinselmer.arith import _int_valuation, primes_up_to, twin_pairs_up_to
 from twinselmer.family import PHI, PHI_HAT, HomogeneousSpace, build_space, enumerate_square_classes, validate_params
-from twinselmer.localsolve import local_class, local_verdict, padic_solvable, real_solvable
+from twinselmer.localsolve import class_label, local_class, local_verdict, padic_solvable, real_solvable
 from twinselmer.selmer import compute_selmer
 
 from bruteforce_oracle import brute_padic_solvable
@@ -149,7 +149,8 @@ def test_labels_match_reference():
             images = compute_selmer(params, kind).local_images()
             labels = {}
             for (place, c), entry in images.items():
-                assert entry.label == reference_label(entry.d, place), (params, place, entry.d)
+                want = reference_label(entry.d, place)
+                assert class_label(entry.d, place) == entry.label == want, (params, place, entry.d)
                 labels.setdefault(place, set()).add(entry.label)
             # distinct classes at a place get distinct labels
             for place in params.places():

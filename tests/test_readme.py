@@ -1,4 +1,4 @@
-"""README examples: every command line exits 0, every commented library value holds."""
+"""README examples: every command line exits 0, every flag is named, every commented library value holds."""
 
 import ast
 import re
@@ -35,6 +35,22 @@ def test_command_line_block_exits_zero(capsys):
         code = cli.main(shlex.split(line)[1:])
         capsys.readouterr()
         assert code == cli.EXIT_OK, line
+
+
+def test_command_line_section_names_every_flag():
+    # every flag of every subcommand is documented, and nothing the parser lacks
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    flags = {
+        opt
+        for sp in commands.values()
+        for action in sp._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    section = README.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    assert sorted(flags - named) == [] and sorted(named - flags) == []
 
 
 def test_library_block_values():

@@ -1,8 +1,11 @@
 """Counting functions and claim verification."""
 
+import dataclasses
+
 import pytest
 
-from twinselmer.family import validate_params
+from twinselmer import theorems
+from twinselmer.family import PHI, class_of_integer, validate_params
 from twinselmer.theorems import (
     CONSTRAINTS,
     THEOREM_IDS,
@@ -109,6 +112,44 @@ def test_verify_1_4_branches():
     # D = 41 satisfies the per-prime conditions and the exact-top branch
     r = verify_theorem(validate_params(1, 3, 5, [41]), "1.4")
     assert r.verdict == "pass" and r.branch == "exact-top"
+
+
+# claims 1.1 and 1.6 adjoin 2 or -2 to the phi witnesses: (instance, id, adjoined class, branch)
+_ADJOINED = [
+    ((1, 71, 73, (7,)), "1.1", 2, "two-adjoined"),
+    ((-1, 71, 73, (7,)), "1.6", 2, "two-adjoined"),
+    ((-1, 17, 19, (3,)), "1.6", -2, "minus-two-adjoined"),
+]
+
+
+@pytest.mark.parametrize("instance, tid, two, branch", _ADJOINED)
+def test_verify_adjoined_two_branches(instance, tid, two, branch):
+    r = verify_theorem(validate_params(*instance), tid)
+    assert r.verdict == "pass" and r.branch == branch
+    assert r.claimed.endswith(f"; dim2(phi) >= {r.observed['rho'] + 1} with {two} adjoined")
+
+
+def _without(group, d):
+    """group with one basis vector dropped, so that d falls outside the span."""
+    bits = class_of_integer(group.params, d)
+    # reduced rows: d's coefficient on a row is d's bit at that row's pivot
+    drop = next(i for i, row in enumerate(group._basis_bits) if bits & row & -row)
+    return dataclasses.replace(group, basis=group.basis[:drop] + group.basis[drop + 1:])
+
+
+@pytest.mark.parametrize("instance, tid, two, branch", _ADJOINED)
+def test_verify_adjoined_two_fails_without_the_class(monkeypatch, instance, tid, two, branch):
+    compute = theorems.compute_selmer
+
+    def mutant(params, kind):
+        group = compute(params, kind)
+        return _without(group, two) if kind == PHI else group
+
+    monkeypatch.setattr(theorems, "compute_selmer", mutant)
+    params = validate_params(*instance)
+    assert not mutant(params, PHI).contains_value(two)
+    r = verify_theorem(params, tid)
+    assert r.verdict == "fail" and r.branch == branch
 
 
 def test_report_serialization():
