@@ -20,7 +20,7 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
-CSV_VERSION = "# twinselmer-csv v3"
+CSV_VERSION = "# twinselmer-csv v4"
 
 
 def _parse_epsilon(text: str) -> int:
@@ -175,12 +175,11 @@ def _cmd_compute(args) -> int:
         payload = to_jsonable(group, include_table=args.seed_table, include_elements=args.elements)
         print(_canonical_json(payload), end="")
     elif args.format == "csv":
+        values = group.element_values() if args.elements else group.basis
+        in_basis = set(group.basis)
+        _emit_csv("selmer", ["d", "basis"], [[v, v in in_basis] for v in values])
         if args.seed_table:
             _emit_csv("verdicts", _VERDICT_HEADER, _verdict_rows(group))
-        else:
-            values = group.element_values() if args.elements else group.basis
-            in_basis = set(group.basis)
-            _emit_csv("selmer", ["d", "basis"], [[v, v in in_basis] for v in values])
     else:
         print(f"{group.kind} Selmer group for {params.label()}")
         basis = ", ".join(map(str, group.basis))

@@ -96,6 +96,8 @@ def real_solvable(space: HomogeneousSpace) -> LocalVerdict:
     minimum of the s-quadratic over s = z^2 >= 0 decides.
     """
     d = space.d
+    if d == 0:
+        raise ValueError(f"degenerate quartic, d = 0: {space}")
     if d > 0:
         return LocalVerdict(INF_PLACE, True, {"type": "real_sign", "s": Fraction(0)}, 0)
     # d < 0: need g(s) <= 0 somewhere on s >= 0; vertex must be right of 0
@@ -141,11 +143,11 @@ class _DigitSearch:
     def __init__(self, space: HomogeneousSpace, l: int):
         self.space = space
         self.l = l
-        self.cap = (
-            _int_valuation(space.disc(), l)
-            + _int_valuation(4 * space.u4 * space.d, l)
-            + _DEPTH_MARGIN
-        )
+        d, disc = space.d, space.disc()
+        # _int_valuation never returns on 0
+        if d == 0 or disc == 0:
+            raise ValueError(f"degenerate quartic, d = 0 or disc = 0: {space}")
+        self.cap = _int_valuation(disc, l) + _int_valuation(4 * space.u4 * d, l) + _DEPTH_MARGIN
         self.max_depth = 0
         # squares among the units mod l; at l = 2 a unit's class is read mod 8
         m = 8 if l == 2 else l
@@ -233,7 +235,10 @@ class _DigitSearch:
 
 
 def padic_solvable(space: HomogeneousSpace, l: int) -> LocalVerdict:
-    """Decide existence of Q_l-points on d*w^2 = g(z) by two-patch digit search."""
+    """Decide existence of Q_l-points on d*w^2 = g(z) by two-patch digit search.
+
+    ValueError when d = 0 or g is not separable (disc = 0).
+    """
     if l < 2:
         raise ValueError(f"not a prime: {l}")
     search = _DigitSearch(space, l)

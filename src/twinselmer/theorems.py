@@ -4,7 +4,11 @@ Each catalog entry pairs mechanically checkable hypotheses (congruences and
 Legendre symbols) with a claim about the two descent Selmer groups: a
 dimension lower bound with explicit witnesses, an exact order, or the
 rank-plus-obstruction sum dim2(phi) + dim2(phi_hat) - 2.  Verification
-computes the groups with the generic oracle and compares.
+computes the groups with the generic oracle and compares.  Most claims
+bound orders by powers of 2 in n; each is one _orders call, given a (lo, hi)
+shift per bounded kind, and optionally members and the sum identity.  The
+witness claims (1.1, 1.3, 1.6, 1.8) and the branch suffix of 1.5A have
+their own runners.
 
 CONSTRAINTS holds the hypotheses of every entry made only of congruences
 on p and the D_i and Legendre symbols among them, as data: verify_theorem
@@ -55,13 +59,18 @@ def _is_phi_witness(params: FamilyParams, dv: int) -> bool:
     return dv % 4 == 1 and pi_minus(params, params.d_primes.index(abs(dv)) + 1) == 0
 
 
+def _signed_d_primes(params: FamilyParams) -> list[int]:
+    """Each D_i signed to be 1 mod 4 (the witnesses of claim 1.7A)."""
+    return [Di if Di % 4 == 1 else -Di for Di in params.d_primes]
+
+
 def _phi_witnesses(params: FamilyParams, sign: int | None = None) -> list[int]:
-    """The D_i signed to be 1 mod 4 that pass _is_phi_witness (claims 1.1 and 1.6).
+    """The signed D_i that pass _is_phi_witness (claims 1.1 and 1.6).
 
     sign defaults to epsilon; +1 keeps only the positive ones.
     """
     s = params.epsilon if sign is None else sign
-    signed = (Di if Di % 4 == 1 else -Di for Di in params.d_primes)
+    signed = _signed_d_primes(params)
     return [dv for dv in signed if (s == -1 or dv > 0) and _is_phi_witness(params, dv)]
 
 
@@ -352,36 +361,6 @@ def _run_rho_phi(params, groups):
     return claimed, observed, ok, branch
 
 
-def _run_1_2a(params, groups):
-    g = groups(PHI)
-    n = params.n
-    ok = (1 << n) <= g.order <= (1 << (n + 1)) and all(
-        g.contains_value(Di) for Di in params.d_primes
-    )
-    return (
-        f"2^{n} <= order(phi) <= 2^{n + 1} with all D primes inside",
-        {"order_phi": g.order},
-        ok,
-        None,
-    )
-
-
-def _exact_order(kind, power_shift):
-    def run(params, groups):
-        g = groups(kind)
-        n = params.n
-        want = 1 << (n + power_shift)
-        label = "phi" if kind == PHI else "phi_hat"
-        return (
-            f"order({label}) == 2^{n + power_shift}",
-            {f"order_{label}": g.order},
-            g.order == want,
-            None,
-        )
-
-    return run
-
-
 def _run_rho_prime(params, groups):
     g = groups(PHI_HAT)
     indices = prime_curve_indices(params)
@@ -396,72 +375,59 @@ def _run_rho_prime(params, groups):
     )
 
 
-def _run_1_4(params, groups):
-    g = groups(PHI_HAT)
-    n = params.n
-    ok = (1 << (n + 2)) <= g.order <= (1 << (n + 3))
-    branch = None
-    claimed = f"2^{n + 2} <= order(phi_hat) <= 2^{n + 3}"
-    if _alpha_condition(params):
-        branch = "exact-top"
-        claimed = f"order(phi_hat) == 2^{n + 3}"
-        ok = ok and g.order == (1 << (n + 3))
-    return claimed, {"order_phi_hat": g.order}, ok, branch
+def _orders(phi=None, hat=None, total=None, members=None):
+    """Runner of the claims 2^(n+lo) <= order(kind) <= 2^(n+hi), one (lo, hi) per bounded kind.
 
+    lo == hi reads as order(kind) == 2^(n+lo).  members(params) returns a
+    phrase and the classes that must lie in the last bounded group; total
+    adds the sum identity rank_sha_sum == 2n + total.
+    """
+    bounds = [(kind, b) for kind, b in ((PHI, phi), (PHI_HAT, hat)) if b is not None]
 
-def _run_1_5a(params, groups):
-    gphi, ghat = groups(PHI), groups(PHI_HAT)
-    n = params.n
-    ok = gphi.order == (1 << n) and (1 << (n + 2)) <= ghat.order <= (1 << (n + 3))
-    observed = {"order_phi": gphi.order, "order_phi_hat": ghat.order}
-    claimed = f"order(phi) == 2^{n}, 2^{n + 2} <= order(phi_hat) <= 2^{n + 3}"
-    branch = None
-    if params.p % 4 == 3 or (params.p - params.D) % 8 == 0:
-        branch = "exact"
-        total = _rank_sha_sum(gphi, ghat)
-        observed["rank_sha_sum"] = total
-        claimed += f"; order(phi_hat) == 2^{n + 3} and sum identity == {2 * n + 1}"
-        ok = ok and ghat.order == (1 << (n + 3)) and total == 2 * n + 1
-    return claimed, observed, ok, branch
-
-
-def _both_exact(phi_shift, hat_shift, sum_offset):
     def run(params, groups):
-        gphi, ghat = groups(PHI), groups(PHI_HAT)
         n = params.n
-        total = _rank_sha_sum(gphi, ghat)
-        ok = (
-            gphi.order == (1 << (n + phi_shift))
-            and ghat.order == (1 << (n + hat_shift))
-            and total == 2 * n + sum_offset
-        )
-        claimed = (
-            f"order(phi) == 2^{n + phi_shift}, order(phi_hat) == 2^{n + hat_shift},"
-            f" sum identity == {2 * n + sum_offset}"
-        )
-        observed = {
-            "order_phi": gphi.order,
-            "order_phi_hat": ghat.order,
-            "rank_sha_sum": total,
-        }
-        return claimed, observed, ok, None
+        parts, observed, ok = [], {}, True
+        for kind, (lo, hi) in bounds:
+            order = observed[f"order_{kind}"] = groups(kind).order
+            if lo == hi:
+                parts.append(f"order({kind}) == 2^{n + lo}")
+            else:
+                parts.append(f"2^{n + lo} <= order({kind}) <= 2^{n + hi}")
+            ok = ok and (1 << (n + lo)) <= order <= (1 << (n + hi))
+        if members is not None:
+            phrase, values = members(params)
+            parts[-1] += f" with {phrase}"
+            g = groups(bounds[-1][0])
+            ok = ok and all(g.contains_value(v) for v in values)
+        if total is not None:
+            s = observed["rank_sha_sum"] = _rank_sha_sum(groups(PHI), groups(PHI_HAT))
+            parts.append(f"sum identity == {2 * n + total}")
+            ok = ok and s == 2 * n + total
+        return ", ".join(parts), observed, ok, None
 
     return run
 
 
-def _run_1_7a(params, groups):
-    g = groups(PHI)
-    n = params.n
-    witnesses = [Di if Di % 4 == 1 else -Di for Di in params.d_primes]
-    ok = (1 << n) <= g.order <= (1 << (n + 1)) and all(
-        g.contains_value(w) for w in witnesses
-    )
-    return (
-        f"2^{n} <= order(phi) <= 2^{n + 1} with signed witnesses {witnesses}",
-        {"order_phi": g.order},
-        ok,
-        None,
-    )
+def _run_1_4(params, groups):
+    if not _alpha_condition(params):
+        return _orders(hat=(2, 3))(params, groups)
+    return (*_orders(hat=(3, 3))(params, groups)[:3], "exact-top")
+
+
+def _run_1_5a(params, groups):
+    claimed, observed, ok, branch = _orders(phi=(0, 0), hat=(2, 3))(params, groups)
+    if params.p % 4 == 3 or (params.p - params.D) % 8 == 0:
+        n = params.n
+        branch = "exact"
+        total = observed["rank_sha_sum"] = _rank_sha_sum(groups(PHI), groups(PHI_HAT))
+        claimed += f"; order(phi_hat) == 2^{n + 3} and sum identity == {2 * n + 1}"
+        ok = ok and observed["order_phi_hat"] == (1 << (n + 3)) and total == 2 * n + 1
+    return claimed, observed, ok, branch
+
+
+def _signed_witnesses(params):
+    signed = _signed_d_primes(params)
+    return f"signed witnesses {signed}", signed
 
 
 def _sieved(theorem_id: str, run) -> _Claim:
@@ -471,22 +437,24 @@ def _sieved(theorem_id: str, run) -> _Claim:
 
 _CLAIMS: dict[str, _Claim] = {
     "1.1": _Claim(1, lambda params: True, _run_rho_phi),
-    "1.2A": _sieved("1.2A", _run_1_2a),
-    "1.2B": _sieved("1.2B", _exact_order(PHI, 0)),
-    "1.2C": _sieved("1.2C", _exact_order(PHI, 1)),
+    "1.2A": _sieved(
+        "1.2A", _orders(phi=(0, 1), members=lambda params: ("all D primes inside", params.d_primes))
+    ),
+    "1.2B": _sieved("1.2B", _orders(phi=(0, 0))),
+    "1.2C": _sieved("1.2C", _orders(phi=(1, 1))),
     "1.3": _Claim(1, lambda params: True, _run_rho_prime),
     "1.4": _Claim(1, _prime_curves_pass_two, _run_1_4),
-    "1.4ex": _sieved("1.4ex", _exact_order(PHI_HAT, 3)),
+    "1.4ex": _sieved("1.4ex", _orders(hat=(3, 3))),
     "1.5A": _sieved("1.5A", _run_1_5a),
-    "1.5B": _sieved("1.5B", _both_exact(1, 3, 2)),
+    "1.5B": _sieved("1.5B", _orders(phi=(1, 1), hat=(3, 3), total=2)),
     "1.6": _Claim(-1, lambda params: True, _run_rho_phi),
-    "1.7A": _sieved("1.7A", _run_1_7a),
-    "1.7B": _sieved("1.7B", _exact_order(PHI, 1)),
+    "1.7A": _sieved("1.7A", _orders(phi=(0, 1), members=_signed_witnesses)),
+    "1.7B": _sieved("1.7B", _orders(phi=(1, 1))),
     "1.8": _Claim(-1, lambda params: True, _run_rho_prime),
-    "1.9": _Claim(-1, _prime_curves_pass_two, _exact_order(PHI_HAT, 2)),
-    "1.9ex": _sieved("1.9ex", _exact_order(PHI_HAT, 2)),
-    "1.10A": _sieved("1.10A", _both_exact(0, 2, 0)),
-    "1.10B": _sieved("1.10B", _both_exact(1, 2, 1)),
+    "1.9": _Claim(-1, _prime_curves_pass_two, _orders(hat=(2, 2))),
+    "1.9ex": _sieved("1.9ex", _orders(hat=(2, 2))),
+    "1.10A": _sieved("1.10A", _orders(phi=(0, 0), hat=(2, 2), total=0)),
+    "1.10B": _sieved("1.10B", _orders(phi=(1, 1), hat=(2, 2), total=1)),
 }
 
 THEOREM_IDS = tuple(sorted(_CLAIMS))

@@ -57,7 +57,7 @@ def test_compute_elements_flag(capsys):
     assert out.splitlines()[1:] == ["dim2=1, order=2, basis={61}", "elements={1, 61}"]
     code, out, _ = run_cli(capsys, *base, "--format", "csv")
     assert code == cli.EXIT_OK
-    assert out.splitlines() == ["# twinselmer-csv v3 selmer", "d,basis", "1,False", "61,True"]
+    assert out.splitlines() == ["# twinselmer-csv v4 selmer", "d,basis", "1,False", "61,True"]
 
 
 def test_compute_csv_schema(capsys):
@@ -68,7 +68,7 @@ def test_compute_csv_schema(capsys):
     assert code == cli.EXIT_OK
     lines = out.splitlines()
     # basis rows only: the phi group of (+1, 3, 5, 61) is {1, 61}
-    assert lines == ["# twinselmer-csv v3 selmer", "d,basis", "61,True"]
+    assert lines == ["# twinselmer-csv v4 selmer", "d,basis", "61,True"]
 
 
 def test_compute_seed_table(capsys):
@@ -91,9 +91,23 @@ def test_compute_seed_table(capsys):
         "--D", "61", "--seed-table", "--format", "csv",
     )
     lines = out.splitlines()
-    assert lines[:2] == ["# twinselmer-csv v3 verdicts", "place,class,d,solvable,search_depth,witness"]
-    assert len(lines) == 2 + sum(len(classes) for classes in verdicts.values())
-    assert lines[2].startswith("inf,sign=+1,1,True,0,")
+    # the selmer block (the basis 61), then the verdicts block
+    assert lines[3:5] == ["# twinselmer-csv v4 verdicts", "place,class,d,solvable,search_depth,witness"]
+    assert len(lines) == 5 + sum(len(classes) for classes in verdicts.values())
+    assert lines[5].startswith("inf,sign=+1,1,True,0,")
+
+
+def test_compute_csv_seed_table_prints_the_group_then_the_verdicts(capsys):
+    base = ("compute", "--epsilon", "+1", "--p", "3", "--q", "5", "--D", "61", "--format", "csv")
+    _, plain, _ = run_cli(capsys, *base)
+    code, out, _ = run_cli(capsys, *base, "--seed-table")
+    assert code == cli.EXIT_OK
+    lines = out.splitlines()
+    assert lines[:3] == plain.splitlines() == ["# twinselmer-csv v4 selmer", "d,basis", "61,True"]
+    assert lines[3] == "# twinselmer-csv v4 verdicts"
+    assert [line for line in lines if line.startswith("#")] == lines[0:1] + lines[3:4]
+    _, both, _ = run_cli(capsys, *base, "--seed-table", "--elements")
+    assert both.splitlines() == lines[:2] + ["1,False"] + lines[2:]
 
 
 def test_compute_text_seed_table(capsys):
@@ -365,7 +379,7 @@ def test_verify_csv(capsys):
     )
     assert code == cli.EXIT_OK
     assert out.splitlines() == [
-        "# twinselmer-csv v3 verify",
+        "# twinselmer-csv v4 verify",
         "theorem,verdict,hypotheses_hold,branch,claimed,observed",
         '1.2B,pass,True,,order(phi) == 2^1,"{""order_phi"": 2}"',
     ]
@@ -387,7 +401,7 @@ def test_audit_reports_a_flipped_rule(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "audit", *fam, "--format", "csv")
     lines = out.splitlines()
     assert code == cli.EXIT_FAILURE
-    assert lines[:2] == ["# twinselmer-csv v3 audit", "check,kind,d,place,rule,closed_form,oracle"]
+    assert lines[:2] == ["# twinselmer-csv v4 audit", "check,kind,d,place,rule,closed_form,oracle"]
     assert len(lines) == 2 + len(rows) and all(",C:real-sign," in line for line in lines[2:])
 
 

@@ -297,3 +297,16 @@ def test_padic_rejects_bad_prime():
     params = validate_params(1, 3, 5, [7])
     with pytest.raises(ValueError):
         padic_solvable(build_space(params, 2, PHI), 1)
+
+
+# g = (z^2 + 1)^2 has disc = 0; d = 0 is no square class
+@pytest.mark.parametrize("space", [HomogeneousSpace(PHI, 1, 1, 2, 1), HomogeneousSpace(PHI, 0, 1, 3, 1)])
+@pytest.mark.parametrize("l", [2, 3])
+def test_padic_rejects_a_degenerate_quartic(space, l):
+    with pytest.raises(ValueError, match="degenerate quartic"):
+        padic_solvable(space, l)
+
+
+def test_real_rejects_d_zero():
+    with pytest.raises(ValueError, match="degenerate quartic"):
+        real_solvable(HomogeneousSpace(PHI, 0, 1, 3, 1))

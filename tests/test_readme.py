@@ -1,4 +1,4 @@
-"""README examples: every command line exits 0, every flag is named, every commented library value holds."""
+"""README examples: every command line exits 0, every flag and claim id is named, every commented library value holds."""
 
 import ast
 import re
@@ -6,6 +6,7 @@ import shlex
 from pathlib import Path
 
 from twinselmer import cli
+from twinselmer.theorems import CONSTRAINTS, THEOREM_IDS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -70,3 +71,12 @@ def test_library_block_values():
             assert value == expected[0], (code, value)
             checked += 1
     assert checked == 6  # [1, 61], 1, False, 1, "pass" and []
+
+
+def test_claim_catalog_has_one_row_per_id():
+    section = README.split("### Claim catalog\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| [^|]+ \| ([^|]+) \|", section, re.M)
+    ids = [tid for tid, _ in rows]
+    assert sorted(ids) == sorted(THEOREM_IDS)  # each id once, and no other
+    for tid, hypotheses in rows:
+        assert (hypotheses.strip() == "`CONSTRAINTS`") == (tid in CONSTRAINTS), tid

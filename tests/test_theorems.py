@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 from twinselmer import theorems
-from twinselmer.family import PHI, class_of_integer, validate_params
+from twinselmer.family import PHI, PHI_HAT, class_of_integer, validate_params
+from twinselmer.selmer import gf2_rref
 from twinselmer.theorems import (
     CONSTRAINTS,
     THEOREM_IDS,
@@ -150,6 +151,176 @@ def test_verify_adjoined_two_fails_without_the_class(monkeypatch, instance, tid,
     assert not mutant(params, PHI).contains_value(two)
     r = verify_theorem(params, tid)
     assert r.verdict == "fail" and r.branch == branch
+
+
+# the exact report of one passing instance per catalog id and branch:
+# (instance, id, branch, claimed, observed)
+_PINNED = [
+    ((1, 3, 5, (61,)), "1.1", None, "dim2(phi) >= 1 with witnesses [61]",
+     {"dim_phi": 1, "rho": 1, "witnesses": [61]}),
+    ((1, 71, 73, (7,)), "1.1", "two-adjoined",
+     "dim2(phi) >= 0 with witnesses []; dim2(phi) >= 1 with 2 adjoined",
+     {"dim_phi": 1, "rho": 0, "witnesses": []}),
+    ((1, 3, 5, (61,)), "1.2A", None, "2^1 <= order(phi) <= 2^2 with all D primes inside",
+     {"order_phi": 2}),
+    ((1, 3, 5, (61, 109)), "1.2A", None, "2^2 <= order(phi) <= 2^3 with all D primes inside",
+     {"order_phi": 4}),
+    ((1, 3, 5, (61,)), "1.2B", None, "order(phi) == 2^1", {"order_phi": 2}),
+    ((1, 71, 73, (89,)), "1.2C", None, "order(phi) == 2^2", {"order_phi": 4}),
+    ((1, 3, 5, (41,)), "1.3", None, "dim2(phi_hat) >= 1 with witnesses [41]",
+     {"dim_phi_hat": 4, "rho_prime": 1, "witnesses": [41]}),
+    ((1, 3, 5, (41,)), "1.4", "exact-top", "order(phi_hat) == 2^4", {"order_phi_hat": 16}),
+    ((1, 101, 103, (17,)), "1.4", None, "2^3 <= order(phi_hat) <= 2^4", {"order_phi_hat": 8}),
+    ((1, 3, 5, (41,)), "1.4ex", None, "order(phi_hat) == 2^4", {"order_phi_hat": 16}),
+    ((1, 5, 7, (29,)), "1.5A", "exact",
+     "order(phi) == 2^1, 2^3 <= order(phi_hat) <= 2^4;"
+     " order(phi_hat) == 2^4 and sum identity == 3",
+     {"order_phi": 2, "order_phi_hat": 16, "rank_sha_sum": 3}),
+    ((1, 71, 73, (89,)), "1.5B", None,
+     "order(phi) == 2^2, order(phi_hat) == 2^4, sum identity == 4",
+     {"order_phi": 4, "order_phi_hat": 16, "rank_sha_sum": 4}),
+    ((-1, 3, 5, (11,)), "1.6", None, "dim2(phi) >= 1 with signed witnesses [-11]",
+     {"dim_phi": 1, "rho": 1, "witnesses": [-11]}),
+    ((-1, 71, 73, (7,)), "1.6", "two-adjoined",
+     "dim2(phi) >= 0 with signed witnesses []; dim2(phi) >= 1 with 2 adjoined",
+     {"dim_phi": 1, "rho": 0, "witnesses": []}),
+    ((-1, 17, 19, (3,)), "1.6", "minus-two-adjoined",
+     "dim2(phi) >= 0 with signed witnesses []; dim2(phi) >= 1 with -2 adjoined",
+     {"dim_phi": 1, "rho": 0, "witnesses": []}),
+    ((-1, 3, 5, (11,)), "1.7A", None, "2^1 <= order(phi) <= 2^2 with signed witnesses [-11]",
+     {"order_phi": 2}),
+    ((-1, 3, 5, (11, 181)), "1.7A", None,
+     "2^2 <= order(phi) <= 2^3 with signed witnesses [-11, 181]", {"order_phi": 4}),
+    ((-1, 17, 19, (59,)), "1.7B", None, "order(phi) == 2^2", {"order_phi": 4}),
+    ((-1, 3, 5, (41,)), "1.8", None, "dim2(phi_hat) >= 1 with witnesses [41]",
+     {"dim_phi_hat": 3, "rho_prime": 1, "witnesses": [41]}),
+    ((-1, 17, 19, (59,)), "1.9", None, "order(phi_hat) == 2^3", {"order_phi_hat": 8}),
+    ((-1, 3, 5, (41,)), "1.9ex", None, "order(phi_hat) == 2^3", {"order_phi_hat": 8}),
+    ((-1, 17, 19, (101,)), "1.10A", None,
+     "order(phi) == 2^1, order(phi_hat) == 2^3, sum identity == 2",
+     {"order_phi": 2, "order_phi_hat": 8, "rank_sha_sum": 2}),
+    ((-1, 17, 19, (137,)), "1.10B", None,
+     "order(phi) == 2^2, order(phi_hat) == 2^3, sum identity == 3",
+     {"order_phi": 4, "order_phi_hat": 8, "rank_sha_sum": 3}),
+]
+
+
+def test_pinned_reports_cover_the_catalog():
+    assert {pin[1] for pin in _PINNED} == set(THEOREM_IDS)
+    assert {pin[2] for pin in _PINNED if pin[1] == "1.4"} == {None, "exact-top"}
+
+
+@pytest.mark.parametrize(
+    "instance, tid, branch, claimed, observed", _PINNED, ids=[f"{pin[1]}{pin[0]}" for pin in _PINNED]
+)
+def test_pinned_report(instance, tid, branch, claimed, observed):
+    r = verify_theorem(validate_params(*instance), tid)
+    assert (r.claimed, r.observed, r.branch, r.verdict) == (claimed, observed, branch, "pass")
+
+
+def _with_outside_class(group):
+    """group with the first generator outside it adjoined, so that its order doubles."""
+    params = group.params
+    extra = next(g for g in params.basis() if not group.contains_value(g))
+    rows = gf2_rref([*group._basis_bits, class_of_integer(params, extra)])
+    return dataclasses.replace(group, basis=tuple(params.value(row) for row in rows))
+
+
+def _mutant_report(monkeypatch, instance, tid, kind, mutation):
+    """verify_theorem with the kind group mutated: "halve", "double", or drop the class d."""
+    compute = theorems.compute_selmer
+
+    def mutant(params, k):
+        group = compute(params, k)
+        if k != kind:
+            return group
+        if mutation == "halve":
+            return dataclasses.replace(group, basis=group.basis[:-1])
+        if mutation == "double":
+            return _with_outside_class(group)
+        return _without(group, mutation)
+
+    params = validate_params(*instance)
+    assert verify_theorem(params, tid).verdict == "pass"
+    monkeypatch.setattr(theorems, "compute_selmer", mutant)
+    return verify_theorem(params, tid)
+
+
+# each mutant moves the order of one group out of the claim's stated range
+_MUTANTS = [
+    ((1, 3, 5, (61,)), "1.1", PHI, "halve"),  # dim2 == rho
+    ((1, 3, 5, (61,)), "1.2A", PHI, "halve"),  # order 2^n, the bottom of the range
+    ((1, 71, 73, (89,)), "1.2A", PHI, "double"),  # order 2^(n+1), the top
+    ((1, 3, 5, (61,)), "1.2B", PHI, "halve"),
+    ((1, 3, 5, (61,)), "1.2B", PHI, "double"),
+    ((1, 71, 73, (89,)), "1.2C", PHI, "halve"),
+    ((1, 71, 73, (89,)), "1.2C", PHI, "double"),
+    ((1, 3, 5, (41,)), "1.4", PHI_HAT, "halve"),  # exact-top
+    ((1, 3, 5, (41,)), "1.4", PHI_HAT, "double"),
+    ((1, 101, 103, (17,)), "1.4", PHI_HAT, "halve"),  # order 2^(n+2), the bottom
+    ((1, 3, 5, (41,)), "1.4ex", PHI_HAT, "halve"),
+    ((1, 3, 5, (41,)), "1.4ex", PHI_HAT, "double"),
+    ((1, 5, 7, (29,)), "1.5A", PHI, "halve"),
+    ((1, 5, 7, (29,)), "1.5A", PHI, "double"),
+    ((1, 5, 7, (29,)), "1.5A", PHI_HAT, "halve"),  # the exact branch claims the top
+    ((1, 5, 7, (29,)), "1.5A", PHI_HAT, "double"),
+    ((1, 71, 73, (89,)), "1.5B", PHI, "halve"),
+    ((1, 71, 73, (89,)), "1.5B", PHI_HAT, "double"),
+    ((-1, 3, 5, (11,)), "1.6", PHI, "halve"),  # dim2 == rho
+    ((-1, 3, 5, (11,)), "1.7A", PHI, "halve"),
+    ((-1, 17, 19, (59,)), "1.7A", PHI, "double"),
+    ((-1, 17, 19, (59,)), "1.7B", PHI, "halve"),
+    ((-1, 17, 19, (59,)), "1.7B", PHI, "double"),
+    ((-1, 17, 19, (59,)), "1.9", PHI_HAT, "halve"),
+    ((-1, 17, 19, (59,)), "1.9", PHI_HAT, "double"),
+    ((-1, 3, 5, (41,)), "1.9ex", PHI_HAT, "halve"),
+    ((-1, 3, 5, (41,)), "1.9ex", PHI_HAT, "double"),
+    ((-1, 17, 19, (101,)), "1.10A", PHI, "double"),
+    ((-1, 17, 19, (101,)), "1.10A", PHI_HAT, "halve"),
+    ((-1, 17, 19, (137,)), "1.10B", PHI, "halve"),
+    ((-1, 17, 19, (137,)), "1.10B", PHI_HAT, "double"),
+]
+
+
+# each drops a named member while the order stays inside the range; the
+# phi_hat bound of 1.3 and 1.8 lies below every order one vector away, so
+# those two are caught only this way: (instance, id, kind, member, observed)
+_DROPPED_MEMBERS = [
+    ((1, 71, 73, (89,)), "1.2A", PHI, 89, {"order_phi": 2}),
+    ((1, 3, 5, (41,)), "1.3", PHI_HAT, 41, {"dim_phi_hat": 3, "rho_prime": 1, "witnesses": [41]}),
+    ((-1, 17, 19, (59,)), "1.7A", PHI, -59, {"order_phi": 2}),
+    ((-1, 3, 5, (41,)), "1.8", PHI_HAT, 41, {"dim_phi_hat": 2, "rho_prime": 1, "witnesses": [41]}),
+]
+
+
+def test_mutants_cover_the_catalog():
+    assert {m[1] for m in _MUTANTS + _DROPPED_MEMBERS} == set(THEOREM_IDS)
+
+
+@pytest.mark.parametrize("instance, tid, kind, mutation", _MUTANTS)
+def test_order_out_of_range_fails(monkeypatch, instance, tid, kind, mutation):
+    r = _mutant_report(monkeypatch, instance, tid, kind, mutation)
+    assert r.verdict == "fail", r
+
+
+@pytest.mark.parametrize("instance, tid, kind, member, observed", _DROPPED_MEMBERS)
+def test_dropped_member_fails(monkeypatch, instance, tid, kind, member, observed):
+    r = _mutant_report(monkeypatch, instance, tid, kind, member)
+    assert r.verdict == "fail" and r.observed == observed
+
+
+@pytest.mark.parametrize("instance, tid, total", [
+    ((1, 5, 7, (29,)), "1.5A", 3),
+    ((1, 71, 73, (89,)), "1.5B", 4),
+    ((-1, 17, 19, (101,)), "1.10A", 2),
+    ((-1, 17, 19, (137,)), "1.10B", 3),
+])
+@pytest.mark.parametrize("kind, mutation, shift", [(PHI, "halve", -1), (PHI_HAT, "double", 1)])
+def test_sum_identity_fails_with_a_changed_order(
+    monkeypatch, instance, tid, total, kind, mutation, shift
+):
+    r = _mutant_report(monkeypatch, instance, tid, kind, mutation)
+    assert r.verdict == "fail" and r.observed["rank_sha_sum"] == total + shift
 
 
 def test_report_serialization():
