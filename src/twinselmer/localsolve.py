@@ -92,20 +92,22 @@ def _rational_witness(space: HomogeneousSpace, z: Fraction, w: Fraction) -> dict
 def real_solvable(space: HomogeneousSpace) -> LocalVerdict:
     """Exact real verdict: does d*g(z) >= 0 happen for some real z?
 
-    g has positive leading coefficient, so d > 0 always works; for d < 0 the
-    minimum of the s-quadratic over s = z^2 >= 0 decides.
+    d*g is a quadratic in s = z^2 >= 0, so it is largest there at s = 0, at
+    the vertex when u2*u4 < 0, or far out when d*u4 > 0, where it exceeds 0
+    from s = 1 + (|u2| + |u0|)/|u4| on.  The first of these candidates with
+    d*g >= 0 is the witness.  ValueError when d = 0 or disc = 0.
     """
-    d = space.d
-    if d == 0:
-        raise ValueError(f"degenerate quartic, d = 0: {space}")
-    if d > 0:
-        return LocalVerdict(INF_PLACE, True, {"type": "real_sign", "s": Fraction(0)}, 0)
-    # d < 0: need g(s) <= 0 somewhere on s >= 0; vertex must be right of 0
-    if space.u2 < 0 and space.u2 * space.u2 >= 4 * space.u4 * space.u0:
-        s = Fraction(-space.u2, 2 * space.u4)
-        gmin = space.u4 * s * s + space.u2 * s + space.u0
-        assert d * gmin >= 0
-        return LocalVerdict(INF_PLACE, True, {"type": "real_sign", "s": s}, 0)
+    d, u4, u2, u0 = space.d, space.u4, space.u2, space.u0
+    if d == 0 or space.disc() == 0:
+        raise ValueError(f"degenerate quartic, d = 0 or disc = 0: {space}")
+    candidates = [Fraction(0)]
+    if u2 * u4 < 0:
+        candidates.append(Fraction(-u2, 2 * u4))
+    if d * u4 > 0:
+        candidates.append(1 + Fraction(abs(u2) + abs(u0), abs(u4)))
+    for s in candidates:
+        if d * ((u4 * s + u2) * s + u0) >= 0:
+            return LocalVerdict(INF_PLACE, True, {"type": "real_sign", "s": s}, 0)
     return LocalVerdict(INF_PLACE, False, None, 0)
 
 
@@ -128,13 +130,6 @@ def _taylor_shift_scale(coeffs: list[int], s: int, m: int) -> list[int]:
         power *= m
         c[j] *= power
     return c
-
-
-def _eval_poly(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 class _DigitSearch:
@@ -210,10 +205,10 @@ class _DigitSearch:
                         "valuation": val,
                     }
                 continue
-            exact = _eval_poly(coeffs, s)
+            shifted = _taylor_shift_scale(coeffs, s, 1)  # P(s + y): P(s), then P'(s)
+            exact, deriv = shifted[0], shifted[1]
             if exact == 0:
                 return self._root_witness(patch, base + scale * s)
-            deriv = _eval_poly([j * coeffs[j] for j in range(1, len(coeffs))], s)
             if deriv != 0 and _int_valuation(exact, l) > 2 * _int_valuation(deriv, l):
                 return {
                     "type": "hensel_root",
@@ -221,7 +216,7 @@ class _DigitSearch:
                     "residue": base + scale * s,
                     "modulus": scale * l,
                 }
-            shifted, content = _strip_content(_taylor_shift_scale(coeffs, s, l), l)
+            shifted, content = _strip_content([c * l**j for j, c in enumerate(shifted)], l)
             w = self._descend(patch, shifted, val + content, k + 1, base + scale * s, scale * l)
             if w is not None:
                 return w

@@ -9,11 +9,11 @@ form a subgroup there (Silverman, AEC X.4).  So the engine maps the basis
 into Q_v*/Q_v*^2 (rank 1 at infinity, 2 at odd l, 3 at l = 2) and, place by
 place, decides one representative d per local class reached by the classes
 that passed every earlier place (at most 2 + 8 + 4(n + 2) oracle calls per
-group).  It checks that the solvable classes form a subgroup, and the
-survivors are the kernel of the stacked annihilators of those subgroups.
+group).  It checks that the solvable classes form a subgroup, and one
+Gaussian elimination keeps the survivor combinations whose image lies in it.
 The 2^(n+4) square classes are never enumerated; elements are listed from
 the basis when asked for.  A class no survivor reaches is skipped: at a
-large prime an unsolvable class costs a scan of every residue.  The kernel
+large prime an unsolvable class costs a scan of every residue.  The engine
 works on exponent bits (family.class_of_integer); every class it hands out,
 the basis included, is an int d (FamilyParams.value).
 
@@ -111,7 +111,7 @@ class SelmerGroup:
     set bit of its exponent bits.
 
     verdict_table maps (place, local class) to its ClassVerdict.  It holds
-    the classes the kernel needed: at each place, those reached by the
+    the classes compute_selmer needed: at each place, those reached by the
     classes that passed every earlier place.  So members have verdicts at
     every place, and non-members up to their first failing place.
     verdict_at and local_images decide the other classes the basis reaches,
@@ -189,44 +189,33 @@ def gf2_rref(rows) -> list[int]:
     return [pivots[pos] for pos in sorted(pivots)]
 
 
-def _kernel(rows, width: int) -> list[int]:
-    """Basis of the x in GF(2)^width with an even overlap with every row."""
-    pivots = {(r & -r).bit_length() - 1: r for r in gf2_rref(rows)}
-    out = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        x = 1 << free
-        for pos, r in pivots.items():
-            if (r >> free) & 1:
-                x |= 1 << pos
-        out.append(x)
-    return out
-
-
 def compute_selmer(params: FamilyParams, kind: str) -> SelmerGroup:
-    """Kernel of the local-image map, deciding one class per (place, local class) at most."""
+    """Preimage of the solvable subgroups, deciding one class per (place, local class) at most."""
     check_kind(kind)
-    width = len(params.basis())
     table: dict = {}
-    rows = []
-    survivors = [1 << j for j in range(width)]  # basis of the classes passing so far
+    survivors = [1 << j for j in range(len(params.basis()))]  # basis of the classes passing so far
     for place in params.places():
         columns = _columns(params, place)
         reps = _class_reps(columns)
-        reached = _class_reps([_image(columns, x) for x in survivors])
-        solvable = {
-            c for c in sorted(reached) if _decide(table, params, kind, place, c, reps).verdict.solvable
-        }
+        images = [_image(columns, x) for x in survivors]
+        reached = sorted(_class_reps(images))
+        solvable = {c for c in reached if _decide(table, params, kind, place, c, reps).verdict.solvable}
         assert 0 in solvable and all(
             a ^ b in solvable for a in solvable for b in solvable
         ), f"solvable local classes at {place} must form a subgroup"
-        # a survivor passes at place iff every functional vanishing on the
-        # solvable classes vanishes on its class
-        for f in range(1, 8):
-            if not any((f & s).bit_count() & 1 for s in solvable):
-                rows.append(sum(((f & col).bit_count() & 1) << j for j, col in enumerate(columns)))
-        survivors = _kernel(rows, width)
+        # one elimination of (image, tag) pairs, each solvable class tagged 0 and each
+        # survivor tagged itself: a tag left on image 0 is a combination passing here
+        pivots: dict[int, tuple[int, int]] = {}  # lowest bit -> (image, tag)
+        pairs = [(c, 0) for c in solvable] + list(zip(images, survivors))
+        survivors = []
+        for image, tag in pairs:
+            while (image & -image) in pivots:
+                pivot_image, pivot_tag = pivots[image & -image]
+                image, tag = image ^ pivot_image, tag ^ pivot_tag
+            if image:
+                pivots[image & -image] = (image, tag)
+            elif tag:
+                survivors.append(tag)
     basis = tuple(params.value(b) for b in gf2_rref(survivors))
     return SelmerGroup(kind, params, basis, table)
 

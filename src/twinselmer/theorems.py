@@ -6,9 +6,9 @@ dimension lower bound with explicit witnesses, an exact order, or the
 rank-plus-obstruction sum dim2(phi) + dim2(phi_hat) - 2.  Verification
 computes the groups with the generic oracle and compares.  Most claims
 bound orders by powers of 2 in n; each is one _orders call, given a (lo, hi)
-shift per bounded kind, and optionally members and the sum identity.  The
-witness claims (1.1, 1.3, 1.6, 1.8) and the branch suffix of 1.5A have
-their own runners.
+shift per bounded kind and optionally members; two exact orders bring the
+sum identity.  The witness claims (1.1, 1.3, 1.6, 1.8) and the exact branch
+of 1.5A have their own runners.
 
 CONSTRAINTS holds the hypotheses of every entry made only of congruences
 on p and the D_i and Legendre symbols among them, as data: verify_theorem
@@ -375,14 +375,15 @@ def _run_rho_prime(params, groups):
     )
 
 
-def _orders(phi=None, hat=None, total=None, members=None):
+def _orders(phi=None, hat=None, members=None):
     """Runner of the claims 2^(n+lo) <= order(kind) <= 2^(n+hi), one (lo, hi) per bounded kind.
 
     lo == hi reads as order(kind) == 2^(n+lo).  members(params) returns a
-    phrase and the classes that must lie in the last bounded group; total
-    adds the sum identity rank_sha_sum == 2n + total.
+    phrase and the classes that must lie in the last bounded group.  Two exact
+    orders add the sum identity they imply, rank_sha_sum == 2n + lo_phi + lo_hat - 2.
     """
     bounds = [(kind, b) for kind, b in ((PHI, phi), (PHI_HAT, hat)) if b is not None]
+    total = phi[0] + hat[0] - 2 if phi and hat and phi[0] == phi[1] and hat[0] == hat[1] else None
 
     def run(params, groups):
         n = params.n
@@ -415,14 +416,14 @@ def _run_1_4(params, groups):
 
 
 def _run_1_5a(params, groups):
-    claimed, observed, ok, branch = _orders(phi=(0, 0), hat=(2, 3))(params, groups)
-    if params.p % 4 == 3 or (params.p - params.D) % 8 == 0:
-        n = params.n
-        branch = "exact"
-        total = observed["rank_sha_sum"] = _rank_sha_sum(groups(PHI), groups(PHI_HAT))
-        claimed += f"; order(phi_hat) == 2^{n + 3} and sum identity == {2 * n + 1}"
-        ok = ok and observed["order_phi_hat"] == (1 << (n + 3)) and total == 2 * n + 1
-    return claimed, observed, ok, branch
+    # CONSTRAINTS["1.5A"] (D_i = 1 mod 4, (p - D) mod 8 in (0, 2)) forces
+    # p = 3 mod 4 or p = D mod 8, so every instance takes the exact branch
+    claimed, observed, ok, _ = _orders(phi=(0, 0), hat=(2, 3))(params, groups)
+    n = params.n
+    total = observed["rank_sha_sum"] = _rank_sha_sum(groups(PHI), groups(PHI_HAT))
+    claimed += f"; order(phi_hat) == 2^{n + 3} and sum identity == {2 * n + 1}"
+    ok = ok and observed["order_phi_hat"] == (1 << (n + 3)) and total == 2 * n + 1
+    return claimed, observed, ok, "exact"
 
 
 def _signed_witnesses(params):
@@ -446,15 +447,15 @@ _CLAIMS: dict[str, _Claim] = {
     "1.4": _Claim(1, _prime_curves_pass_two, _run_1_4),
     "1.4ex": _sieved("1.4ex", _orders(hat=(3, 3))),
     "1.5A": _sieved("1.5A", _run_1_5a),
-    "1.5B": _sieved("1.5B", _orders(phi=(1, 1), hat=(3, 3), total=2)),
+    "1.5B": _sieved("1.5B", _orders(phi=(1, 1), hat=(3, 3))),
     "1.6": _Claim(-1, lambda params: True, _run_rho_phi),
     "1.7A": _sieved("1.7A", _orders(phi=(0, 1), members=_signed_witnesses)),
     "1.7B": _sieved("1.7B", _orders(phi=(1, 1))),
     "1.8": _Claim(-1, lambda params: True, _run_rho_prime),
     "1.9": _Claim(-1, _prime_curves_pass_two, _orders(hat=(2, 2))),
     "1.9ex": _sieved("1.9ex", _orders(hat=(2, 2))),
-    "1.10A": _sieved("1.10A", _orders(phi=(0, 0), hat=(2, 2), total=0)),
-    "1.10B": _sieved("1.10B", _orders(phi=(1, 1), hat=(2, 2), total=1)),
+    "1.10A": _sieved("1.10A", _orders(phi=(0, 0), hat=(2, 2))),
+    "1.10B": _sieved("1.10B", _orders(phi=(1, 1), hat=(2, 2))),
 }
 
 THEOREM_IDS = tuple(sorted(_CLAIMS))

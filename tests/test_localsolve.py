@@ -310,3 +310,37 @@ def test_padic_rejects_a_degenerate_quartic(space, l):
 def test_real_rejects_d_zero():
     with pytest.raises(ValueError, match="degenerate quartic"):
         real_solvable(HomogeneousSpace(PHI, 0, 1, 3, 1))
+
+
+@pytest.mark.parametrize("space", [HomogeneousSpace(PHI, 1, 1, 2, 1), HomogeneousSpace(PHI, 1, 0, 3, 1)])
+def test_real_rejects_a_separability_failure(space):
+    # (z^2 + 1)^2, and a quartic with u4 = 0: both have disc = 0
+    with pytest.raises(ValueError, match="degenerate quartic"):
+        real_solvable(space)
+
+
+def test_real_reads_the_signs_of_u4_and_u0():
+    # d*g(0) = 3 > 0 although d < 0
+    verdict = real_solvable(HomogeneousSpace(PHI, -1, 1, 5, -3))
+    assert verdict.solvable and verdict.witness == {"type": "real_sign", "s": 0}
+    # g = -z^4 - 1 < 0 everywhere, so d = 1 has no real point
+    assert not real_solvable(HomogeneousSpace(PHI, 1, -1, 0, -1)).solvable
+
+
+def test_real_matches_a_grid_scan():
+    # s = k/64 for k <= 640 holds s = 0 and the point s <= 9 past which d*g
+    # keeps the sign of d*u4; every vertex lies within 1/128 of the grid,
+    # where a positive maximum (at least 1/16) drops by at most 1/1024
+    checked = 0
+    for d, u4, u2, u0 in itertools.product(range(-4, 5), repeat=4):
+        space = HomogeneousSpace(PHI, d, u4, u2, u0)
+        if d == 0 or space.disc() == 0:
+            continue
+        scan = any(d * (u4 * k * k + 64 * u2 * k + 4096 * u0) >= 0 for k in range(641))
+        verdict = real_solvable(space)
+        assert verdict.solvable == scan, space
+        if scan:
+            s = verdict.witness["s"]
+            assert s >= 0 and d * ((u4 * s + u2) * s + u0) >= 0, space
+        checked += 1
+    assert checked > 4000

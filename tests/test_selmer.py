@@ -1,5 +1,6 @@
 """Selmer group computation: goldens, group structure, caps, audit trail, reference engine."""
 
+import random
 import time
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import twinselmer as ts
 from twinselmer import selmer
 from twinselmer.family import build_space, validate_params
-from twinselmer.localsolve import local_class, local_verdict
+from twinselmer.localsolve import LocalVerdict, local_class, local_verdict
 from twinselmer.selmer import compute_selmer, gf2_rref, to_jsonable
 
 from helpers import random_instances
@@ -240,3 +241,65 @@ def test_jsonable_shape():
     # 61 is the representative of its own class at 61: valuation 1, unit 1
     assert full["verdicts"]["61"]["val=1,unit=1"]["d"] == 61
     assert set(full["verdicts"]) == {"inf", "2", "3", "5", "61"}
+
+
+def _subgroup_oracle(params, seed):
+    """A local_verdict stand-in solvable on a seeded random subgroup of Q_v*/Q_v*^2 at each place."""
+    rng = random.Random(seed)
+    solvable = {}
+    for place in params.places():
+        rank = {ts.INF_PLACE: 1, 2: 3}.get(place, 2)
+        span = {0}
+        for _ in range(rng.randint(0, rank)):
+            g = rng.randrange(1 << rank)
+            span |= {g ^ c for c in span}
+        solvable[place] = span
+
+    def oracle(space, place):
+        return LocalVerdict(place, local_class(space.d, place) in solvable[place], None, 0)
+
+    return oracle, solvable
+
+
+def test_elimination_matches_brute_force_on_random_subgroups(monkeypatch):
+    # local conditions the real oracle never produces: compute_selmer must
+    # still keep exactly the classes inside every solvable subgroup
+    instances = random_instances(seed=1818, count=60, prime_bound=300, max_n=4)
+    assert {params.n for params in instances} == {1, 2, 3, 4}
+    sizes = set()
+    for seed, params in enumerate(instances):
+        oracle, solvable = _subgroup_oracle(params, seed)
+        sizes |= {len(span) for span in solvable.values()}
+        monkeypatch.setattr(selmer, "local_verdict", oracle)
+        members = [
+            d for d in ts.enumerate_square_classes(params)
+            if all(local_class(d, place) in solvable[place] for place in params.places())
+        ]
+        bits = gf2_rref([ts.class_of_integer(params, d) for d in members])
+        for kind in (ts.PHI, ts.PHI_HAT):
+            group = compute_selmer(params, kind)
+            assert group.element_values() == sorted(members), (params, seed)
+            assert group.basis == tuple(params.value(b) for b in bits), (params, seed)
+    assert sizes == {1, 2, 4, 8}
+
+
+_FIRST_40 = [r for r in ts.arith.primes_up_to(200) if r > 7][:40]
+# dim2, basis and len(verdict_table) on (+1, 5, 7) with the first 40 primes above 7
+_PINNED_N40 = {
+    ts.PHI: (0, [], 131),
+    ts.PHI_HAT: (23, [
+        -2626077560674389994769, 4551796314232983985839412547815, 6372514839926177580175177566941,
+        1835923452671937178424963, 16275361169039713, 2536538624698816391, 71208267391309,
+        27634627854215170347907, 170167970157011353606577, 359988033127340983219, 63142675541851799,
+        30498542308944771093601, 2128581068715476283089, 875635221243423521009, 4658501645029581119,
+        9004260216887605627, 6299255855257385401, 22976527047729540858108457, 1746593608371624375763,
+        2526371968293796376129, 854604428549741, 107190989571647860804769, 49232265433682033,
+    ], 178),
+}
+
+
+@pytest.mark.parametrize("kind", [ts.PHI, ts.PHI_HAT])
+def test_pinned_groups_at_n40(kind):
+    assert len(_FIRST_40) == 40
+    group = compute_selmer(validate_params(1, 5, 7, _FIRST_40), kind)
+    assert (group.dim2, list(group.basis), len(group.verdict_table)) == _PINNED_N40[kind]

@@ -109,6 +109,20 @@ def test_verify_applicability():
     assert set(THEOREM_IDS) >= {"1.1", "1.2B", "1.4", "1.5A", "1.7B", "1.10B"}
 
 
+def test_1_5a_hypotheses_force_the_exact_branch():
+    # every D_i = 1 mod 4 leaves D = 1 or 5 mod 8; with (p - D) mod 8 in
+    # (0, 2), p = 3 mod 4 or p = D mod 8, the condition of branch exact
+    cs = CONSTRAINTS["1.5A"]
+    assert cs.d_mod == (4, (1,)) and cs.p_minus_d_mod8 == (0, 2)
+    allowed = [(p8, D8) for p8 in (1, 3, 5, 7) for D8 in (1, 5) if (p8 - D8) % 8 in cs.p_minus_d_mod8]
+    assert allowed == [(1, 1), (3, 1), (5, 5), (7, 5)]
+    assert all(p8 % 4 == 3 or (p8 - D8) % 8 == 0 for p8, D8 in allowed)
+    for n in (1, 2):
+        p, q, ds = SEARCH_HITS[("1.5A", n)]
+        r = verify_theorem(validate_params(1, p, q, ds), "1.5A")
+        assert (r.verdict, r.branch) == ("pass", "exact")
+
+
 def test_verify_1_4_branches():
     # D = 41 satisfies the per-prime conditions and the exact-top branch
     r = verify_theorem(validate_params(1, 3, 5, [41]), "1.4")
