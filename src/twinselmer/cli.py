@@ -98,6 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = cache(build_parser)
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Load key=value pairs; per the interface contract they override flags.
 
@@ -122,7 +125,9 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             if flag is None:
                 raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
             if flag.nargs == 0:  # store_true
-                setattr(args, key, value.lower() in ("1", "true", "yes"))
+                if value.lower() not in _BOOLEANS:
+                    raise ValueError(f"{args.config}:{lineno}: {key}: expected a boolean")
+                setattr(args, key, _BOOLEANS[value.lower()])
                 continue
             try:
                 parsed = flag.type(value) if flag.type else value

@@ -4,20 +4,21 @@ The real place is decided exactly by sign analysis of the quadratic in
 s = z^2.  A finite place l is decided by one re-centering digit search over
 two integral patches (z in Z_l, and t = 1/z with v_l(t) >= 1).  A node of
 the search writes d*g = l^val * P(y) on the class coordinate = base +
-scale*y, with the content of P divided out, and looks at each residue s of
-y mod l:
+scale*y, with the content of P divided out.  A unit's square class is fixed
+mod m (m = l at odd l, 8 at l = 2), and the square test is
+local_class(unit, l) == 0.
 
-  * if P(s) is a unit mod l, d*g has the constant valuation val on the
-    class and its unit is read mod l (mod 8 at l = 2), so the class either
-    certifies solvability (val even, unit a square) or dies.  At l = 2 with
-    val even, the unit is fixed mod 8 only once every non-constant
-    coefficient of P(s + 2y) is 0 mod 8; until then the search refines one
-    more digit with val unchanged;
-  * otherwise the residue is tested for a liftable root of P (valuation of
-    the value exceeding twice that of the derivative), which certifies a
-    w = 0 point nearby;
-  * otherwise the search re-centres, y = s + l*y', divides out the content
-    of the shifted polynomial into val, and descends.
+  * Node rule: when every non-constant coefficient of P is 0 mod m, the
+    whole disc is the one unit class of P(0): it certifies solvability at
+    residue base (val even, unit a square) or dies.
+  * Otherwise each residue s of y mod l is looked at.  If P(s) is a unit
+    mod l, an odd val kills the class; at odd l the unit is P(s) mod l,
+    and at l = 2 the search refines one digit, val unchanged, until every
+    non-constant coefficient of P(s + 2y) is 0 mod 8.
+  * A residue with P(s) = 0 mod l certifies a w = 0 point nearby when P
+    has a liftable root there, v_l(P(s)) > 2*v_l(P'(s)); otherwise the
+    search re-centres, y = s + l*y', moves the content of the shifted
+    polynomial into val, and descends.
 
 Every subtree dies or certifies at bounded depth because g is separable;
 the hard cap below is generous, and hitting it raises instead of guessing.
@@ -132,71 +133,47 @@ def _taylor_shift_scale(coeffs: list[int], s: int, m: int) -> list[int]:
     return c
 
 
-class _DigitSearch:
-    """Shared state for the two-patch digit search at one finite place."""
+def padic_solvable(space: HomogeneousSpace, l: int) -> LocalVerdict:
+    """Decide existence of Q_l-points on d*w^2 = g(z) by two-patch digit search.
 
-    def __init__(self, space: HomogeneousSpace, l: int):
-        self.space = space
-        self.l = l
-        d, disc = space.d, space.disc()
-        # _int_valuation never returns on 0
-        if d == 0 or disc == 0:
-            raise ValueError(f"degenerate quartic, d = 0 or disc = 0: {space}")
-        self.cap = _int_valuation(disc, l) + _int_valuation(4 * space.u4 * d, l) + _DEPTH_MARGIN
-        self.max_depth = 0
-        # squares among the units mod l; at l = 2 a unit's class is read mod 8
-        m = 8 if l == 2 else l
-        self.qr = bytearray(m)
-        for x in range(1, m):
-            self.qr[x * x % m] = 1
+    ValueError when d = 0 or g is not separable (disc = 0).
+    """
+    if l < 2:
+        raise ValueError(f"not a prime: {l}")
+    d, disc = space.d, space.disc()
+    # _int_valuation never returns on 0
+    if d == 0 or disc == 0:
+        raise ValueError(f"degenerate quartic, d = 0 or disc = 0: {space}")
+    cap = _int_valuation(disc, l) + _int_valuation(4 * space.u4 * d, l) + _DEPTH_MARGIN
+    m = 8 if l == 2 else l  # a unit's square class is fixed mod m
+    max_depth = 0
 
-    def run(self) -> dict | None:
-        l, space = self.l, self.space
-        d = space.d
-        # d*g in z (patch 1) and, reversed, in t = 1/z with t = l*y (patch 2)
-        patches = (
-            (1, 0, [d * space.u0, 0, d * space.u2, 0, d * space.u4]),
-            (2, 1, [d * space.u4, 0, d * space.u2, 0, d * space.u0]),
-        )
-        for patch, start_k, coeffs in patches:
-            scale = l**start_k
-            coeffs, content = _strip_content(_taylor_shift_scale(coeffs, 0, scale), l)
-            w = self._descend(patch, coeffs, content, start_k, 0, scale)
-            if w is not None:
-                return w
-        return None
-
-    def _descend(self, patch, coeffs, val, k, base, scale):
+    def descend(patch, coeffs, val, k, base, scale):
         """Decide d*g = l^val * P(y) for y in Z_l; coordinate = base + scale*y."""
-        l = self.l
-        if k + 1 > self.max_depth:
-            self.max_depth = k + 1
-        if k >= self.cap:
-            raise OracleUndecidedError(
-                f"depth cap {self.cap} exceeded at l={l} on {self.space}"
-            )
+        nonlocal max_depth
+        max_depth = max(max_depth, k + 1)
+        if k >= cap:
+            raise OracleUndecidedError(f"depth cap {cap} exceeded at l={l} on {space}")
         cmod = [c % l for c in coeffs]
-        parity_ok = val % 2 == 0
-        # an odd valuation kills a unit class outright, so only an even one
-        # needs the unit read mod 8 at l = 2
-        read_mod_8 = parity_ok and l == 2
-        for s in range(l):
+        # node rule: P = P(0) mod m on the whole disc, so s = 0 decides it
+        for s in range(l if any(c % m for c in coeffs[1:]) else 1):
             u = 0
             for c in reversed(cmod):
                 u = (u * s + c) % l
             if u != 0:
-                # unit on the whole class: its square class is fixed by u
-                if read_mod_8:
-                    # P(s + 2y) = P(s) mod 8 for all y once every non-constant
-                    # coefficient is 0 mod 8; until then, refine one digit
+                # a unit on the whole class; an odd valuation kills it outright
+                if val % 2:
+                    continue
+                if l == 2:
+                    # refine one digit until P(s + 2y) = P(s) mod 8 for all y
                     shifted = _taylor_shift_scale(coeffs, s, 2)
-                    if any(c & 7 for c in shifted[1:]):
-                        w = self._descend(patch, shifted, val, k + 1, base + scale * s, scale * 2)
+                    if any(c % m for c in shifted[1:]):
+                        w = descend(patch, shifted, val, k + 1, base + scale * s, scale * 2)
                         if w is not None:
                             return w
                         continue
-                    u = shifted[0] & 7
-                if parity_ok and self.qr[u]:
+                    u = shifted[0]
+                if local_class(u, l) == 0:
                     return {
                         "type": "square_class",
                         "patch": patch,
@@ -207,38 +184,33 @@ class _DigitSearch:
                 continue
             shifted = _taylor_shift_scale(coeffs, s, 1)  # P(s + y): P(s), then P'(s)
             exact, deriv = shifted[0], shifted[1]
+            coord = base + scale * s
             if exact == 0:
-                return self._root_witness(patch, base + scale * s)
+                # a root of g: the point (z, 0), with z = 1/t on patch 2
+                assert patch == 1 or coord != 0
+                z = Fraction(coord) if patch == 1 else Fraction(1, coord)
+                return _rational_witness(space, z, Fraction(0))
             if deriv != 0 and _int_valuation(exact, l) > 2 * _int_valuation(deriv, l):
-                return {
-                    "type": "hensel_root",
-                    "patch": patch,
-                    "residue": base + scale * s,
-                    "modulus": scale * l,
-                }
+                return {"type": "hensel_root", "patch": patch, "residue": coord, "modulus": scale * l}
             shifted, content = _strip_content([c * l**j for j, c in enumerate(shifted)], l)
-            w = self._descend(patch, shifted, val + content, k + 1, base + scale * s, scale * l)
+            w = descend(patch, shifted, val + content, k + 1, coord, scale * l)
             if w is not None:
                 return w
         return None
 
-    def _root_witness(self, patch, coord: int) -> dict:
-        if patch == 1:
-            return _rational_witness(self.space, Fraction(coord), Fraction(0))
-        assert coord != 0
-        return _rational_witness(self.space, Fraction(1, coord), Fraction(0))
-
-
-def padic_solvable(space: HomogeneousSpace, l: int) -> LocalVerdict:
-    """Decide existence of Q_l-points on d*w^2 = g(z) by two-patch digit search.
-
-    ValueError when d = 0 or g is not separable (disc = 0).
-    """
-    if l < 2:
-        raise ValueError(f"not a prime: {l}")
-    search = _DigitSearch(space, l)
-    witness = search.run()
-    return LocalVerdict(l, witness is not None, witness, search.max_depth)
+    # d*g in z (patch 1) and, reversed, in t = 1/z with t = l*y (patch 2)
+    patches = (
+        (1, 0, [d * space.u0, 0, d * space.u2, 0, d * space.u4]),
+        (2, 1, [d * space.u4, 0, d * space.u2, 0, d * space.u0]),
+    )
+    witness = None
+    for patch, start_k, coeffs in patches:
+        scale = l**start_k
+        coeffs, content = _strip_content(_taylor_shift_scale(coeffs, 0, scale), l)
+        witness = descend(patch, coeffs, content, start_k, 0, scale)
+        if witness is not None:
+            break
+    return LocalVerdict(l, witness is not None, witness, max_depth)
 
 
 def local_verdict(space: HomogeneousSpace, place) -> LocalVerdict:

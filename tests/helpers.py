@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 
 import twinselmer as ts
@@ -21,6 +22,13 @@ def random_instances(seed: int, count: int, prime_bound: int = 300, max_n: int =
         ds = rng.sample([r for r in pool if r not in (p, q)], n)
         out.append(ts.validate_params(eps, p, q, ds))
     return out
+
+
+# (d, u0, u2, u4) of generic even quartics at l = 2: unlike the family
+# quartics, some leave a unit undetermined mod 8 after one digit
+TWO_ADIC_GRID = tuple(
+    itertools.product((1, 3, 5, 7, -1, 2, 6), (1, 3, 5, 2, 4, 12), (0, 1, 2, 3, 6), (1, 3, 5, 2, 4))
+)
 
 
 def failing_verify(params, theorem_id):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from twinselmer import cli, criteria, search, selmer
+from twinselmer import cli, criteria, localsolve, search, selmer
 from twinselmer.arith import primes_up_to
 from twinselmer.family import PHI, validate_params
 from twinselmer.localsolve import OracleUndecidedError
@@ -417,6 +417,16 @@ def test_oracle_undecided_exits_three(capsys, monkeypatch):
     assert err.startswith("error: oracle undecided: depth cap exceeded at ")
 
 
+def test_depth_cap_in_the_real_oracle_exits_three(capsys, monkeypatch):
+    # no stand-in oracle: the digit search itself hits a cap at or below depth 0
+    monkeypatch.setattr(localsolve, "_DEPTH_MARGIN", -1000)
+    code, out, err = run_cli(
+        capsys, "compute", "--epsilon", "+1", "--p", "3", "--q", "5", "--D", "61",
+    )
+    assert code == cli.EXIT_UNDECIDED and out == ""
+    assert err.startswith("error: oracle undecided: depth cap ") and " exceeded at l=" in err
+
+
 def test_config_overrides_flags(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# golden instance\nD=61\nformat=json\nelements=true\n")
@@ -455,6 +465,7 @@ def test_config_values_pass_flag_checks(capsys, tmp_path):
         ("kind=psi", "invalid choice 'psi'"),
         ("epsilon=2", "epsilon must be +1 or -1"),
         ("p=three", "p: invalid literal"),
+        ("elements=maybe", "elements: expected a boolean"),
     ):
         cfg.write_text(line + "\n")
         code, out, err = run_cli(capsys, *base, "--config", str(cfg))

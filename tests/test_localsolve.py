@@ -7,13 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinselmer as ts
+from twinselmer import localsolve
 from twinselmer.arith import _int_valuation, primes_up_to, twin_pairs_up_to
 from twinselmer.family import PHI, PHI_HAT, HomogeneousSpace, build_space, enumerate_square_classes, validate_params
-from twinselmer.localsolve import class_label, local_class, local_verdict, padic_solvable, real_solvable
+from twinselmer.localsolve import (
+    OracleUndecidedError,
+    class_label,
+    local_class,
+    local_verdict,
+    padic_solvable,
+    real_solvable,
+)
 from twinselmer.selmer import compute_selmer
 
 from bruteforce_oracle import brute_padic_solvable
-from helpers import random_instances
+from helpers import TWO_ADIC_GRID, random_instances
 
 # derandomized, so every run draws the same examples
 _PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -226,10 +234,8 @@ def test_square_class_certificates_check_out():
 
 
 def test_two_adic_generic_quartics_match_bruteforce():
-    # the family quartics never leave a unit undetermined mod 8 after one
-    # digit; generic even quartics do, and exercise the mod-8 refinement
-    grid = itertools.product((1, 3, 5, 7, -1, 2, 6), (1, 3, 5, 2, 4, 12), (0, 1, 2, 3, 6), (1, 3, 5, 2, 4))
-    for d, u0, u2, u4 in grid:
+    # generic even quartics exercise the mod-8 refinement
+    for d, u0, u2, u4 in TWO_ADIC_GRID:
         space = HomogeneousSpace(PHI, d, u4, u2, u0)
         if space.disc() == 0:
             continue
@@ -291,6 +297,16 @@ def test_unsolvable_records_depth():
     # patch 2 starts one digit deep
     assert verdict.search_depth >= 2
     assert verdict.search_depth == 2  # the depth this engine reaches
+
+
+@pytest.mark.parametrize("l", [2, 7])
+def test_depth_cap_raises_through_the_real_oracle(monkeypatch, l):
+    # a margin this low puts the cap at or below depth 0, where the search starts
+    monkeypatch.setattr(localsolve, "_DEPTH_MARGIN", -1000)
+    params = validate_params(1, 3, 5, [7])
+    for d in (1, 2, 7, -35):
+        with pytest.raises(OracleUndecidedError, match=rf"depth cap -\d+ exceeded at l={l} on "):
+            padic_solvable(build_space(params, d, PHI), l)
 
 
 def test_padic_rejects_bad_prime():
