@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import compress
 
 # Fixed Miller-Rabin witness set. Deterministic for every n below
 # 3317044064679887385961981 (> 2**64); above that we fall back to 40
@@ -70,20 +72,21 @@ def _int_valuation(m: int, l: int) -> int:
     return v
 
 
+def _sieve(n: int) -> bytearray:
+    """Byte i is 1 if i is prime and 0 if not, for 0 <= i <= max(n, 1)."""
+    sieve = bytearray(2) + bytearray([1]) * (n - 1)
+    for i in range(2, math.isqrt(max(n, 0)) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return sieve
+
+
 def primes_up_to(n: int) -> list[int]:
     """Ascending primes <= n by sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, int(n**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(compress(range(n + 1), _sieve(n)))
 
 
 def twin_pairs_up_to(n: int) -> list[tuple[int, int]]:
-    """Ascending twin pairs (p, p+2) of odd primes with p + 2 <= n."""
-    ps = primes_up_to(n)
-    pset = set(ps)
-    return [(p, p + 2) for p in ps if p >= 3 and p + 2 in pset]
+    """Ascending twin pairs (p, p+2) of odd primes, p + 2 <= n; p = 2 fails as 4 is not prime."""
+    sieve = _sieve(n)
+    return [(p, p + 2) for p in compress(range(n - 1), sieve) if sieve[p + 2]]

@@ -234,6 +234,8 @@ def _cmd_search(args) -> int:
     progress = lambda msg: print(f"search: {msg}", file=sys.stderr)  # noqa: E731
     if args.epsilon is None:
         raise InvalidParamsError("missing required flag: --epsilon")
+    if args.target_dim is not None and args.corollary is not None:
+        raise InvalidParamsError("search takes --corollary or --target-dim, not both")
     if args.target_dim is not None:
         run = partial(demonstrate_large_selmer, args.epsilon, args.kind, args.target_dim,
                       bound=args.bound, time_budget=args.time_budget, progress=progress)

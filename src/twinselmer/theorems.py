@@ -13,7 +13,11 @@ of 1.5A have their own runners.
 CONSTRAINTS holds the hypotheses of every entry made only of congruences
 on p and the D_i and Legendre symbols among them, as data: verify_theorem
 reads ConstraintSet.holds, and the search sieves on the same entries stage
-by stage.
+by stage.  The congruences on each D_i are a set of residue cells, the
+allowed pairs (p mod 8, D_i mod 8).  The symbols on each D_i are one of
+three predicates: D_i is a square mod p and mod q, p and q are squares
+mod D_i, or D_i is a square mod exactly one of p and q.  The cells in
+which 1.1 and 1.6 adjoin 2 or -2 are one table, which 1.7B assumes too.
 
 Each closed-form group member has one predicate here, read by the claims
 and by the membership rules of criteria alike: _is_phi_witness (+-D_i in
@@ -83,17 +87,27 @@ def rho_minus(params: FamilyParams) -> int:
     return len(_phi_witnesses(params, -1))
 
 
-def _adjoined_two(params: FamilyParams) -> int | None:
-    """The class 2 or -2 that claims 1.1 and 1.6 adjoin to the phi witnesses, if any.
+_ODD = (1, 3, 5, 7)
 
-    2 when p = 7 mod 8 and every D_i = 1, 7 mod 8; -2 (epsilon = -1 only)
-    when p = 1 mod 8 and every D_i = 1, 3 mod 8.
-    """
-    p, Ds = params.p, params.d_primes
-    if p % 8 == 7 and all(Di % 8 in (1, 7) for Di in Ds):
-        return 2
-    if params.epsilon == -1 and p % 8 == 1 and all(Di % 8 in (1, 3) for Di in Ds):
-        return -2
+
+def _cells(p_residues, d_residues) -> frozenset[tuple[int, int]]:
+    """Every (p mod 8, D_i mod 8) pair with p and D_i in the given residues mod 8."""
+    return frozenset((p8, d8) for p8 in p_residues for d8 in d_residues)
+
+
+# The cells in which claims 1.1 and 1.6 adjoin 2 or -2 to the phi witnesses:
+# 2 when p = 7 mod 8 and D_i = 1, 7 mod 8; -2 (epsilon = -1 only) when
+# p = 1 mod 8 and D_i = 1, 3 mod 8.  Claim 1.7B assumes either.
+_TWO_CELLS = {2: _cells((7,), (1, 7)), -2: _cells((1,), (1, 3))}
+
+
+def _adjoined_two(params: FamilyParams) -> int | None:
+    """The class 2 or -2 whose cells hold every D_i, if any (claims 1.1 and 1.6)."""
+    p8 = params.p % 8
+    for two, cells in _TWO_CELLS.items():
+        if two == 2 or params.epsilon == -1:
+            if all((p8, Di % 8) in cells for Di in params.d_primes):
+                return two
     return None
 
 
@@ -186,47 +200,48 @@ def rho_prime(params: FamilyParams) -> int:
     return len(prime_curve_indices(params))
 
 
+def _d_square_mod_pq(r: int, p: int, q: int) -> bool:
+    """D_i is a square modulo p and modulo q."""
+    return legendre_symbol(r, p) == 1 and legendre_symbol(r, q) == 1
+
+
+def _pq_square_mod_d(r: int, p: int, q: int) -> bool:
+    """p and q are squares modulo D_i."""
+    return legendre_symbol(p, r) == 1 and legendre_symbol(q, r) == 1
+
+
+def _d_square_mod_one(r: int, p: int, q: int) -> bool:
+    """D_i is a square modulo exactly one of p and q."""
+    return legendre_symbol(r, p) + legendre_symbol(r, q) == 0
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
-    """The hypotheses of one catalog entry: congruences and Legendre-symbol rules.
+    """The hypotheses of one catalog entry: residue cells and Legendre-symbol conditions.
 
-    They are split by what they read, so the search can apply each as early
-    as it can: p alone (p_ok), one D prime against the twin pair (d_ok), the
-    chosen D primes as a set (set_ok), and every pair of D primes (pair_ok,
-    which applies when pairwise_one is set).  holds() is all of them on one
-    instance; epsilon is checked by the caller.
+    cells is the set of allowed (p mod 8, D_i mod 8) pairs; every D_i must
+    fall in a cell with p.  symbol(D_i, p, q) is the Legendre-symbol
+    condition on each D_i.  They are split by what they read, so the search
+    can apply each as early as it can: p alone (p_ok: some cell has p's
+    residue), one D prime against the twin pair (d_ok: its cell and its
+    symbol), the chosen D primes as a set (set_ok), and every pair of D
+    primes (pair_ok, which applies when pairwise_one is set).  holds() is all
+    of them on one instance; epsilon is checked by the caller.
     """
 
     epsilon: int
     theorem_id: str
-    p_mod8: tuple[int, ...] | None = None
-    d_mod: tuple[int, tuple[int, ...]] | None = None  # (modulus, allowed) for every D_i
-    d_mod8_exists: tuple[int, ...] | None = None  # some D_i must land here mod 8
-    symbol_rule: str | None = None  # "d-qr" | "pq-qr" | "opposite"
+    cells: frozenset[tuple[int, int]]
+    symbol: Callable[[int, int, int], bool]
     pairwise_one: bool = False  # (D_j | D_i) = 1 for all i != j
-    d_mod8_by_p: tuple[tuple[int, tuple[int, ...]], ...] | None = None  # p mod 8 -> D_i mod 8
+    d_mod8_exists: tuple[int, ...] | None = None  # some D_i must land here mod 8
     p_minus_d_mod8: tuple[int, ...] | None = None
 
     def p_ok(self, p: int) -> bool:
-        if self.p_mod8 is not None and p % 8 not in self.p_mod8:
-            return False
-        return self.d_mod8_by_p is None or p % 8 in dict(self.d_mod8_by_p)
+        return any(p8 == p % 8 for p8, _ in self.cells)
 
     def d_ok(self, r: int, p: int, q: int) -> bool:
-        if self.d_mod is not None and r % self.d_mod[0] not in self.d_mod[1]:
-            return False
-        if self.d_mod8_by_p is not None and r % 8 not in dict(self.d_mod8_by_p).get(p % 8, ()):
-            return False
-        rule = self.symbol_rule
-        if rule is None:
-            return True
-        if rule == "d-qr":
-            return legendre_symbol(r, p) == 1 and legendre_symbol(r, q) == 1
-        if rule == "pq-qr":
-            return legendre_symbol(p, r) == 1 and legendre_symbol(q, r) == 1
-        if rule == "opposite":
-            return legendre_symbol(r, p) + legendre_symbol(r, q) == 0
-        raise ValueError(f"unknown symbol rule {rule!r}")
+        return (p % 8, r % 8) in self.cells and self.symbol(r, p, q)
 
     def set_ok(self, p: int, d_primes) -> bool:
         if self.d_mod8_exists is not None and not any(
@@ -249,50 +264,26 @@ class ConstraintSet:
         )
 
 
+_D_1_MOD_4 = _cells(_ODD, (1, 5))
+
 CONSTRAINTS: dict[str, ConstraintSet] = {
     cs.theorem_id: cs
     for cs in (
-        ConstraintSet(1, "1.2A", d_mod=(4, (1,)), symbol_rule="d-qr", pairwise_one=True),
-        ConstraintSet(
-            1, "1.2B", d_mod=(4, (1,)), d_mod8_exists=(5,), symbol_rule="d-qr", pairwise_one=True
-        ),
-        ConstraintSet(
-            1, "1.2C", p_mod8=(7,), d_mod=(8, (1,)), symbol_rule="d-qr", pairwise_one=True
-        ),
-        ConstraintSet(1, "1.4ex", p_mod8=(3, 7), d_mod=(8, (1,)), symbol_rule="opposite"),
-        ConstraintSet(
-            1,
-            "1.5A",
-            d_mod=(4, (1,)),
-            d_mod8_exists=(5,),
-            symbol_rule="d-qr",
-            pairwise_one=True,
-            p_minus_d_mod8=(0, 2),
-        ),
-        ConstraintSet(
-            1, "1.5B", p_mod8=(7,), d_mod=(8, (1,)), symbol_rule="d-qr", pairwise_one=True
-        ),
-        ConstraintSet(-1, "1.7A", symbol_rule="pq-qr", pairwise_one=True),
-        ConstraintSet(
-            -1,
-            "1.7B",
-            symbol_rule="pq-qr",
-            pairwise_one=True,
-            d_mod8_by_p=((7, (1, 7)), (1, (1, 3))),
-        ),
-        ConstraintSet(-1, "1.9ex", d_mod=(8, (1,)), symbol_rule="opposite"),
-        ConstraintSet(
-            -1,
-            "1.10A",
-            d_mod=(4, (1,)),
-            d_mod8_exists=(5,),
-            symbol_rule="d-qr",
-            pairwise_one=True,
-            p_minus_d_mod8=(2, 4),
-        ),
-        ConstraintSet(
-            -1, "1.10B", p_mod8=(1, 7), d_mod=(8, (1,)), symbol_rule="pq-qr", pairwise_one=True
-        ),
+        ConstraintSet(1, "1.2A", _D_1_MOD_4, _d_square_mod_pq, pairwise_one=True),
+        ConstraintSet(1, "1.2B", _D_1_MOD_4, _d_square_mod_pq, pairwise_one=True,
+                      d_mod8_exists=(5,)),
+        ConstraintSet(1, "1.2C", _cells((7,), (1,)), _d_square_mod_pq, pairwise_one=True),
+        ConstraintSet(1, "1.4ex", _cells((3, 7), (1,)), _d_square_mod_one),
+        ConstraintSet(1, "1.5A", _D_1_MOD_4, _d_square_mod_pq, pairwise_one=True,
+                      d_mod8_exists=(5,), p_minus_d_mod8=(0, 2)),
+        ConstraintSet(1, "1.5B", _cells((7,), (1,)), _d_square_mod_pq, pairwise_one=True),
+        ConstraintSet(-1, "1.7A", _cells(_ODD, _ODD), _pq_square_mod_d, pairwise_one=True),
+        ConstraintSet(-1, "1.7B", _TWO_CELLS[2] | _TWO_CELLS[-2], _pq_square_mod_d,
+                      pairwise_one=True),
+        ConstraintSet(-1, "1.9ex", _cells(_ODD, (1,)), _d_square_mod_one),
+        ConstraintSet(-1, "1.10A", _D_1_MOD_4, _d_square_mod_pq, pairwise_one=True,
+                      d_mod8_exists=(5,), p_minus_d_mod8=(2, 4)),
+        ConstraintSet(-1, "1.10B", _cells((1, 7), (1,)), _pq_square_mod_d, pairwise_one=True),
     )
 }
 

@@ -100,3 +100,8 @@ def test_twin_pairs_table():
     assert pairs[0] == (3, 5)
     assert (71, 73) in pairs
     assert all(arith.is_twin_pair(p, q) for p, q in pairs)
+    for n in (*range(-2, 12), 100, 101, 10**4):
+        scan = [r for r in range(n + 1) if arith.is_prime(r)]
+        assert arith.primes_up_to(n) == scan, n
+        assert arith.twin_pairs_up_to(n) == [(r, r + 2) for r in scan if r > 2 and r + 2 in scan], n
+    assert len(arith.twin_pairs_up_to(10**6)) == 8169

@@ -286,6 +286,8 @@ def test_search_time_budget_flag_and_config(capsys, tmp_path):
     (("verify", "--epsilon", "+1", "--p", "3", "--q", "5", "--D", "61"), "--theorem"),
     (("search", "--corollary", "1.2B"), "--epsilon"),
     (("search", "--epsilon", "+1"), "--corollary or --target-dim"),
+    (("search", "--epsilon", "+1", "--corollary", "1.2B", "--target-dim", "3",
+      "--kind", "phi_hat", "--bound", "1000"), "--corollary or --target-dim, not both"),
 ])
 def test_missing_required_flag_exits_two(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -1,10 +1,13 @@
-"""Tooling: every function, class and method in the package is used somewhere in it.
+"""Tooling: every function, class, method, module constant and class field in the package is used.
 
 A definition counts as used when its name is read (as a name or an
 attribute) anywhere in src/twinselmer outside its own body, or when
-twinselmer/__init__ exports it.  Dunder methods are called by Python and
-are exempt.  The check is by name, so two definitions sharing a name keep
-each other alive; it catches helpers that nothing calls any more.
+twinselmer/__init__ exports it.  A module constant or a class field is a
+name bound by an assignment directly in a module or class body; binding it
+(or passing it as a keyword) is not a read.  Dunder names are used by
+Python and are exempt.  The check is by name, so two definitions sharing a
+name keep each other alive; it catches helpers that nothing calls any more
+and fields that nothing reads.
 """
 
 import ast
@@ -20,9 +23,9 @@ def _reads(tree) -> Counter:
     """How often each name is read as a name or an attribute inside tree."""
     counts = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             counts[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             counts[node.attr] += 1
     return counts
 
@@ -38,6 +41,21 @@ def _definitions(tree, prefix):
             yield from _definitions(node, prefix)
 
 
+def _assignments(body, prefix):
+    """(qualified name, name, statement) for every name an assignment in body binds."""
+    for stmt in body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    yield f"{prefix}.{node.id}", node.id, stmt
+
+
 def unused_definitions(package: Path = PACKAGE) -> list[str]:
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
     reads = sum((_reads(tree) for tree in trees.values()), Counter())
@@ -49,8 +67,12 @@ def unused_definitions(package: Path = PACKAGE) -> list[str]:
     }
     unused = []
     for module, tree in sorted(trees.items()):
-        for qualname, node in _definitions(tree, module):
-            name = node.name
+        defs = [(qualname, node.name, node) for qualname, node in _definitions(tree, module)]
+        bound = [*_assignments(tree.body, module)]
+        for qualname, _, node in defs:
+            if isinstance(node, ast.ClassDef):
+                bound += _assignments(node.body, qualname)
+        for qualname, name, node in defs + bound:
             if name.startswith("__") and name.endswith("__") or name in exported:
                 continue
             if reads[name] - _reads(node)[name] == 0:

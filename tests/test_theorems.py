@@ -1,10 +1,14 @@
 """Counting functions and claim verification."""
 
 import dataclasses
+from collections import Counter
+from functools import cache
+from itertools import combinations
 
 import pytest
 
 from twinselmer import theorems
+from twinselmer.arith import primes_up_to, twin_pairs_up_to
 from twinselmer.family import PHI, PHI_HAT, class_of_integer, validate_params
 from twinselmer.selmer import gf2_rref
 from twinselmer.theorems import (
@@ -110,10 +114,11 @@ def test_verify_applicability():
 
 
 def test_1_5a_hypotheses_force_the_exact_branch():
-    # every D_i = 1 mod 4 leaves D = 1 or 5 mod 8; with (p - D) mod 8 in
+    # the cells D_i = 1, 5 mod 8 leave D = 1 or 5 mod 8; with (p - D) mod 8 in
     # (0, 2), p = 3 mod 4 or p = D mod 8, the condition of branch exact
     cs = CONSTRAINTS["1.5A"]
-    assert cs.d_mod == (4, (1,)) and cs.p_minus_d_mod8 == (0, 2)
+    assert cs.cells == {(p8, D8) for p8 in (1, 3, 5, 7) for D8 in (1, 5)}
+    assert cs.p_minus_d_mod8 == (0, 2)
     allowed = [(p8, D8) for p8 in (1, 3, 5, 7) for D8 in (1, 5) if (p8 - D8) % 8 in cs.p_minus_d_mod8]
     assert allowed == [(1, 1), (3, 1), (5, 5), (7, 5)]
     assert all(p8 % 4 == 3 or (p8 - D8) % 8 == 0 for p8, D8 in allowed)
@@ -362,3 +367,44 @@ def test_hypothesis_table_matches_reference():
             assert report.hypotheses_hold == (want and params.epsilon == cs.epsilon)
             seen[tid].add(want)
     assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
+@cache
+def _grid(epsilon):
+    """The 15 twin pairs with p < 200, each with every 1- or 2-prime D set of odd primes < 120."""
+    odd = [r for r in primes_up_to(119) if r > 2]
+    grid = []
+    for p, q in twin_pairs_up_to(201):
+        pool = [r for r in odd if r not in (p, q)]
+        sets = [(a,) for a in pool] + list(combinations(pool, 2))
+        grid += [validate_params(epsilon, p, q, ds) for ds in sets]
+    return grid
+
+
+def test_hypothesis_table_matches_reference_on_every_cell():
+    # every odd (p mod 8, D_i mod 8) cell occurs, so no residue branch is left to chance
+    odd = (1, 3, 5, 7)
+    cells = {(params.p % 8, d % 8) for params in _grid(1) for d in params.d_primes}
+    assert cells == {(p8, d8) for p8 in odd for d8 in odd}
+    checks, held = 0, {tid: set() for tid in CONSTRAINTS}
+    for tid, cs in CONSTRAINTS.items():
+        for params in _grid(cs.epsilon):
+            want = REFERENCE[tid](params)
+            assert cs.holds(params) == want, (tid, params.label())
+            checks += 1
+            if want:
+                held[tid].add(params.p % 8)
+    assert checks == 65_505
+    # both branches of 1.7B hold somewhere: the -2 cells (p = 1 mod 8), the 2 cells (p = 7 mod 8)
+    assert held["1.7B"] == {1, 7}
+
+
+def test_catalog_sweep_passes_wherever_the_hypotheses_hold():
+    passes = Counter()
+    for tid, cs in CONSTRAINTS.items():
+        for params in filter(cs.holds, _grid(cs.epsilon)):
+            r = verify_theorem(params, tid)
+            assert r.verdict == "pass", (tid, params.label(), r.claimed, r.observed)
+            passes[tid] += 1
+    assert sum(passes.values()) == 419
+    assert all(passes[tid] >= 2 for tid in CONSTRAINTS), passes
