@@ -77,11 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=_parse_epsilon)
     sp.add_argument("--corollary", choices=sorted(CONSTRAINTS),
                     help="catalog entry whose hypotheses to sieve for")
-    sp.add_argument("--n", type=int, default=1, help="number of D primes")
+    sp.add_argument("--n", type=int, help="number of D primes with --corollary (default: 1)")
     sp.add_argument("--target-dim", dest="target_dim", type=int,
                     help="instead: stack primes until dim2 >= this value")
-    sp.add_argument("--kind", choices=(PHI, PHI_HAT), default=PHI_HAT,
-                    help="group to grow when using --target-dim")
+    sp.add_argument("--kind", choices=(PHI, PHI_HAT),
+                    help=f"group to grow with --target-dim (default: {PHI_HAT})")
     sp.add_argument("--bound", type=int, default=10**4, help="largest allowed D prime")
     sp.add_argument("--time-budget", dest="time_budget", type=float,
                     help="seconds before the search gives up (default: none)")
@@ -237,13 +237,19 @@ def _cmd_search(args) -> int:
     if args.target_dim is not None and args.corollary is not None:
         raise InvalidParamsError("search takes --corollary or --target-dim, not both")
     if args.target_dim is not None:
-        run = partial(demonstrate_large_selmer, args.epsilon, args.kind, args.target_dim,
+        if args.n is not None:
+            raise InvalidParamsError("search --target-dim derives n from the target; drop --n")
+        kind = PHI_HAT if args.kind is None else args.kind
+        run = partial(demonstrate_large_selmer, args.epsilon, kind, args.target_dim,
                       bound=args.bound, time_budget=args.time_budget, progress=progress)
-        query = {"mode": "target-dim", "kind": args.kind, "target_dim": args.target_dim}
+        query = {"mode": "target-dim", "kind": kind, "target_dim": args.target_dim}
     elif args.corollary is not None:
-        run = partial(find_family, args.epsilon, args.corollary, args.n, args.bound,
+        if args.kind is not None:
+            raise InvalidParamsError("search --corollary fixes the groups by its claim; drop --kind")
+        n = 1 if args.n is None else args.n
+        run = partial(find_family, args.epsilon, args.corollary, n, args.bound,
                       time_budget=args.time_budget, progress=progress)
-        query = {"mode": "corollary", "corollary": args.corollary, "n": args.n}
+        query = {"mode": "corollary", "corollary": args.corollary, "n": n}
     else:
         raise InvalidParamsError("search needs --corollary or --target-dim")
     query.update({"epsilon": args.epsilon, "bound": args.bound})

@@ -26,13 +26,21 @@ outputs a class is labelled "sign=+1" / "sign=-1" at infinity and
 "val=<valuation mod 2>,unit=<tag>" at a prime, both read off the class bits
 by localsolve.class_label: the tag is the unit's Legendre symbol at odd l
 and its residue mod 8 at l = 2.
+
+compute_selmer keeps the groups of its last two calls (functools.lru_cache),
+so the phi and phi_hat groups of one instance are computed once and shared by
+every caller in the process: cli, criteria.audit_params, theorems and search
+receive the same SelmerGroup object.  A shared verdict_table grows as
+verdict_at and local_images decide more classes, and each (kind, place,
+local class) is decided once per process.  A call that raises is not kept.
+FamilyParams must come from family.validate_params, which makes it hashable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .family import (
     FamilyParams,
@@ -115,7 +123,9 @@ class SelmerGroup:
     classes that passed every earlier place.  So members have verdicts at
     every place, and non-members up to their first failing place.
     verdict_at and local_images decide the other classes the basis reaches,
-    once each, and add them to the table.
+    once each, and add them to the table.  compute_selmer hands the same
+    group to every caller, so the table holds every class any of them
+    decided.
     """
 
     kind: str
@@ -189,6 +199,7 @@ def gf2_rref(rows) -> list[int]:
     return [pivots[pos] for pos in sorted(pivots)]
 
 
+@lru_cache(maxsize=2)  # the phi and phi_hat groups of the last instance
 def compute_selmer(params: FamilyParams, kind: str) -> SelmerGroup:
     """Preimage of the solvable subgroups, deciding one class per (place, local class) at most."""
     check_kind(kind)

@@ -31,7 +31,6 @@ branch of 1.4) and _minus_eps_d_member (-eps*D in phi_hat).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import prod
 from typing import Callable
 
@@ -461,8 +460,8 @@ def verify_theorem(params: FamilyParams, theorem_id: str) -> TheoremReport:
         return TheoremReport(
             theorem_id, params, False, "hypotheses not satisfied", {}, "not-applicable"
         )
-    groups = cache(lambda kind: compute_selmer(params, kind))
-    claimed, observed, ok, branch = claim.run(params, groups)
+    # compute_selmer keeps both groups of the instance, so runners may ask again
+    claimed, observed, ok, branch = claim.run(params, lambda kind: compute_selmer(params, kind))
     return TheoremReport(
         theorem_id,
         params,

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from twinselmer import cli, criteria, localsolve, search, selmer
+from twinselmer import cli, criteria, localsolve, search, selmer, theorems
 from twinselmer.arith import primes_up_to
-from twinselmer.family import PHI, validate_params
+from twinselmer.family import PHI, PHI_HAT, validate_params
 from twinselmer.localsolve import OracleUndecidedError
 from twinselmer.selmer import compute_selmer
 
@@ -288,6 +288,10 @@ def test_search_time_budget_flag_and_config(capsys, tmp_path):
     (("search", "--epsilon", "+1"), "--corollary or --target-dim"),
     (("search", "--epsilon", "+1", "--corollary", "1.2B", "--target-dim", "3",
       "--kind", "phi_hat", "--bound", "1000"), "--corollary or --target-dim, not both"),
+    (("search", "--epsilon", "+1", "--target-dim", "3", "--n", "7", "--bound", "1000"),
+     "--target-dim derives n from the target; drop --n"),
+    (("search", "--epsilon", "+1", "--corollary", "1.2B", "--kind", "phi", "--bound", "100"),
+     "--corollary fixes the groups by its claim; drop --kind"),
 ])
 def test_missing_required_flag_exits_two(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -427,6 +431,41 @@ def test_depth_cap_in_the_real_oracle_exits_three(capsys, monkeypatch):
     )
     assert code == cli.EXIT_UNDECIDED and out == ""
     assert err.startswith("error: oracle undecided: depth cap ") and " exceeded at l=" in err
+
+
+def _session(params) -> list[list[str]]:
+    """compute both kinds with their verdict tables, audit, then verify every id of eps."""
+    fam = ["--epsilon", f"{params.epsilon:+d}", "--p", str(params.p), "--q", str(params.q),
+           "--D", ",".join(map(str, params.d_primes)), "--format", "json"]
+    ids = [tid for tid in theorems.THEOREM_IDS if theorems._CLAIMS[tid].epsilon == params.epsilon]
+    return (
+        [["compute", *fam, "--kind", kind, "--seed-table"] for kind in (PHI, PHI_HAT)]
+        + [["audit", *fam]]
+        + [["verify", *fam, "--theorem", tid] for tid in ids]
+    )
+
+
+@pytest.mark.parametrize("instance", [(1, 3, 5, [61]), (-1, 5, 7, [11, 13])])
+def test_session_decides_each_local_class_once(capsys, monkeypatch, instance):
+    # the groups compute_selmer keeps are shared by compute, audit and verify:
+    # one oracle call per (kind, place, local class), the seed tables' own
+    calls = []
+
+    def counting(space, place):
+        calls.append((space.kind, place))
+        return localsolve.local_verdict(space, place)
+
+    monkeypatch.setattr(selmer, "local_verdict", counting)
+    params = validate_params(*instance)
+    session = _session(params)
+    outputs = [run_cli(capsys, *argv)[:2] for argv in session]
+    decided = len(calls)
+    assert decided == sum(len(compute_selmer(params, kind).local_images()) for kind in (PHI, PHI_HAT))
+    assert len(calls) == decided
+    # and each command prints what it prints in a fresh process
+    for argv, shared in zip(session, outputs):
+        compute_selmer.cache_clear()
+        assert run_cli(capsys, *argv)[:2] == shared, argv
 
 
 def test_config_overrides_flags(capsys, tmp_path):

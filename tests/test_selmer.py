@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import twinselmer as ts
 from twinselmer import selmer
 from twinselmer.family import build_space, validate_params
-from twinselmer.localsolve import LocalVerdict, local_class, local_verdict
+from twinselmer.localsolve import LocalVerdict, OracleUndecidedError, local_class, local_verdict
 from twinselmer.selmer import compute_selmer, gf2_rref, to_jsonable
 
 from helpers import random_instances
@@ -175,6 +175,27 @@ def test_oracle_calls_per_group(monkeypatch):
             assert group.order == 1 << group.dim2
 
 
+def test_failures_are_not_memoised(monkeypatch):
+    def undecided(space, place):
+        raise OracleUndecidedError(f"depth cap exceeded at {place}")
+
+    params = validate_params(1, 3, 5, [61])
+    monkeypatch.setattr(selmer, "local_verdict", undecided)
+    for _ in range(2):
+        with pytest.raises(OracleUndecidedError):
+            compute_selmer(params, ts.PHI)
+    monkeypatch.undo()
+    assert compute_selmer(params, ts.PHI).basis == (61,)
+
+
+def test_memo_returns_the_same_group():
+    params = validate_params(-1, 5, 7, [11, 13])
+    groups = [compute_selmer(params, kind) for kind in (ts.PHI, ts.PHI_HAT)]
+    equal = validate_params(-1, 5, 7, [11, 13])
+    assert [compute_selmer(equal, kind) for kind in (ts.PHI, ts.PHI_HAT)] == groups
+    assert all(compute_selmer(params, g.kind) is g for g in groups)
+
+
 def test_forced_subgroup_and_caps():
     for params in random_instances(seed=555, count=8, prime_bound=120, max_n=2):
         gphi = compute_selmer(params, ts.PHI)
@@ -271,6 +292,7 @@ def test_elimination_matches_brute_force_on_random_subgroups(monkeypatch):
         oracle, solvable = _subgroup_oracle(params, seed)
         sizes |= {len(span) for span in solvable.values()}
         monkeypatch.setattr(selmer, "local_verdict", oracle)
+        compute_selmer.cache_clear()  # no group decided by another instance's oracle
         members = [
             d for d in ts.enumerate_square_classes(params)
             if all(local_class(d, place) in solvable[place] for place in params.places())
