@@ -164,12 +164,12 @@ _VERDICT_HEADER = ["place", "class", "d", "solvable", "search_depth", "witness"]
 def _verdict_rows(group) -> list[list]:
     """One _VERDICT_HEADER row per local_images() entry; the witness is sorted JSON, or ""."""
     rows = []
-    for (place, _), entry in group.local_images().items():
-        verdict = entry.verdict
+    for verdict in group.local_images().values():
         witness = ""
         if verdict.witness is not None:
             witness = json.dumps({k: str(v) for k, v in verdict.witness.items()}, sort_keys=True)
-        rows.append([place, entry.label, entry.d, verdict.solvable, verdict.search_depth, witness])
+        rows.append([verdict.place, verdict.label, verdict.d, verdict.solvable,
+                     verdict.search_depth, witness])
     return rows
 
 
@@ -329,9 +329,6 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(args, parser)
         return _HANDLERS[args.command](args)
-    except InvalidParamsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OracleUndecidedError as exc:
         print(f"error: oracle undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

@@ -2,10 +2,13 @@
 
 Each rule answers local solvability for one (epsilon, quartic kind, d
 pattern, place pattern) cell, or membership for one d pattern, purely from
-residues mod 8/16 and Legendre symbols.  Where no rule is stated the
-verdict defers to the generic oracle (applicable = False); the engine
-never guesses.  Disagreements with the oracle are collected by
-audit_params, not auto-resolved.
+residues mod 8/16 and Legendre symbols.  Both rule families, local
+(closed_form_local) and membership (_membership_with_rule), return a
+ClosedFormVerdict, built by _rule, which names the rule that decided.
+Where no rule is stated the verdict is _NA (solvable None, so applicable
+is False) and defers to the generic oracle; the engine never guesses.
+Disagreements with the oracle are collected by audit_params, not
+auto-resolved.
 
 The membership rules that need more than the class value read the member
 predicates of theorems, the same ones its claims read: S:C:Di and S:C:-Di
@@ -38,16 +41,21 @@ from .theorems import (
 
 @dataclass(frozen=True)
 class ClosedFormVerdict:
-    applicable: bool
+    """A rule's verdict, local or membership; solvable is None where no rule is stated."""
+
     solvable: bool | None
     rule_id: str
 
+    @property
+    def applicable(self) -> bool:
+        return self.solvable is not None
 
-_NA = ClosedFormVerdict(False, None, "")
+
+_NA = ClosedFormVerdict(None, "")
 
 
 def _rule(ok: bool, rule_id: str) -> ClosedFormVerdict:
-    return ClosedFormVerdict(True, bool(ok), rule_id)
+    return ClosedFormVerdict(bool(ok), rule_id)
 
 
 def _rule_values(params: FamilyParams) -> set[int]:
@@ -76,11 +84,9 @@ def _local_c(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
     odd_bad = (p, q) + Ds
     if dv == 2:
         if place == 2:
-            if eps == 1:
-                ok = (D * (D - 2 * p - 2)) % 16 == 1
-            else:
-                ok = (D * (D + 2 * p + 2)) % 16 == 1
-            return _rule(ok, "C:2:mod16")
+            # one form for both signs: D(D + 2p + 2) differs by 4D(p + 1), 0 mod 16
+            # when p = 3 mod 4, and when p = 1 mod 4 neither is 1 mod 16
+            return _rule((D * (D - 2 * p - 2)) % 16 == 1, "C:2:mod16")
         if place in odd_bad:
             return _rule(legendre_symbol(2, place) == 1, "C:2:qr")
     if eps == -1 and dv == -2:
@@ -168,38 +174,37 @@ def closed_form_local(params: FamilyParams, kind: str, d: int, place) -> ClosedF
     return local(params, d, place)
 
 
-def _membership_with_rule(params, kind, dv):
+def _membership_with_rule(params: FamilyParams, kind: str, dv: int) -> ClosedFormVerdict:
     eps, p, q, D = params.epsilon, params.p, params.q, params.D
     Ds = params.d_primes
     if check_kind(kind) == PHI:
         if dv == 1:
-            return True, "S:identity"
+            return _rule(True, "S:identity")
         if eps == 1 and (dv < 0 or dv % p == 0 or dv % q == 0):
-            return False, "S:C:excluded"
+            return _rule(False, "S:C:excluded")
         if eps == -1 and (dv % p == 0 or dv % q == 0 or dv == -1):
-            return False, "S:C:excluded"
+            return _rule(False, "S:C:excluded")
         if dv == 2 or (eps == -1 and dv == -2):
-            return _adjoined_two(params) == dv, "S:C:2" if dv > 0 else "S:C:-2"
+            return _rule(_adjoined_two(params) == dv, "S:C:2" if dv > 0 else "S:C:-2")
         if abs(dv) in Ds:  # eps = +1 has excluded dv < 0 above
-            return _is_phi_witness(params, dv), "S:C:Di" if dv > 0 else "S:C:-Di"
-        return None
+            return _rule(_is_phi_witness(params, dv), "S:C:Di" if dv > 0 else "S:C:-Di")
+        return _NA
     if dv in Ds:
-        return _prime_curve_ok(params, Ds.index(dv) + 1), "S:C':Di"
+        return _rule(_prime_curve_ok(params, Ds.index(dv) + 1), "S:C':Di")
     if dv % 2 == 0 or (eps == -1 and dv < 0):
-        return False, "S:C':excluded"
+        return _rule(False, "S:C':excluded")
     if dv in (1, p * q, -eps * p * D, -eps * q * D):
-        return True, "S:C':rational-point"
+        return _rule(True, "S:C':rational-point")
     if eps == 1 and dv == -p * q:
-        return _alpha_condition(params), "S:C':-pq"
+        return _rule(_alpha_condition(params), "S:C':-pq")
     if dv == -eps * D and (eps == 1 or params.n >= 2):
-        return _minus_eps_d_member(params), "S:C':-D" if eps == 1 else "S:C':D"
-    return None
+        return _rule(_minus_eps_d_member(params), "S:C':-D" if eps == 1 else "S:C':D")
+    return _NA
 
 
 def membership_closed_form(params: FamilyParams, kind: str, d: int) -> bool | None:
     """Membership verdict for d where a closed-form rule exists, else None."""
-    res = _membership_with_rule(params, kind, d)
-    return None if res is None else res[0]
+    return _membership_with_rule(params, kind, d).solvable
 
 
 def audit_params(params: FamilyParams, groups=None) -> list[dict]:
@@ -218,10 +223,11 @@ def audit_params(params: FamilyParams, groups=None) -> list[dict]:
     values = _rule_values(params)
     rows = []
 
-    def record(check, kind, dv, place, rule, want, have):
-        if want != have:
+    def record(check, kind, dv, place, cf, have):
+        if cf.solvable != have:
             rows.append({"check": check, "params": params.label(), "kind": kind, "d": dv,
-                         "place": place, "rule": rule, "closed_form": want, "oracle": have})
+                         "place": place, "rule": cf.rule_id, "closed_form": cf.solvable,
+                         "oracle": have})
 
     for kind in (PHI, PHI_HAT):
         group = groups[kind]
@@ -229,10 +235,9 @@ def audit_params(params: FamilyParams, groups=None) -> list[dict]:
             for dv in sorted(values.union(selmer.class_representatives(params, place).values())):
                 cf = closed_form_local(params, kind, dv, place)
                 if cf.applicable:
-                    record("local", kind, dv, str(place), cf.rule_id, cf.solvable,
-                           group.verdict_at(dv, place).solvable)
+                    record("local", kind, dv, str(place), cf, group.verdict_at(dv, place).solvable)
         for dv in sorted(values.union(group.basis)):
             mem = _membership_with_rule(params, kind, dv)
-            if mem is not None:
-                record("membership", kind, dv, "", mem[1], mem[0], group.contains_value(dv))
+            if mem.applicable:
+                record("membership", kind, dv, "", mem, group.contains_value(dv))
     return rows

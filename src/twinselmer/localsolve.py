@@ -46,12 +46,18 @@ class OracleUndecidedError(RuntimeError):
 
 @dataclass(frozen=True)
 class LocalVerdict:
-    """Solvability at one place, with a witness or the exhausted search depth."""
+    """Solvability of C_d at one place, with a witness or the exhausted search depth."""
 
     place: object
+    d: int
     solvable: bool
     witness: dict | None
     search_depth: int
+
+    @property
+    def label(self) -> str:
+        """class_label of d at the place: the local class the verdict stands for."""
+        return class_label(self.d, self.place)
 
 
 def local_class(x: int, place) -> int:
@@ -108,8 +114,8 @@ def real_solvable(space: HomogeneousSpace) -> LocalVerdict:
         candidates.append(1 + Fraction(abs(u2) + abs(u0), abs(u4)))
     for s in candidates:
         if d * ((u4 * s + u2) * s + u0) >= 0:
-            return LocalVerdict(INF_PLACE, True, {"type": "real_sign", "s": s}, 0)
-    return LocalVerdict(INF_PLACE, False, None, 0)
+            return LocalVerdict(INF_PLACE, d, True, {"type": "real_sign", "s": s}, 0)
+    return LocalVerdict(INF_PLACE, d, False, None, 0)
 
 
 def _strip_content(coeffs: list[int], l: int) -> tuple[list[int], int]:
@@ -210,7 +216,7 @@ def padic_solvable(space: HomogeneousSpace, l: int) -> LocalVerdict:
         witness = descend(patch, coeffs, content, start_k, 0, scale)
         if witness is not None:
             break
-    return LocalVerdict(l, witness is not None, witness, max_depth)
+    return LocalVerdict(l, d, witness is not None, witness, max_depth)
 
 
 def local_verdict(space: HomogeneousSpace, place) -> LocalVerdict:

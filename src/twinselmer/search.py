@@ -96,8 +96,7 @@ def find_family(
     tested = 0
     for p, q in _twin_table():
         if time.monotonic() >= deadline:
-            _note(progress, f"time budget exhausted after {tested} candidate sets")
-            return None
+            break
         if not cs.p_ok(p):
             continue
         pool = [r for r in base_pool if r not in (p, q) and cs.d_ok(r, p, q)]

@@ -19,10 +19,11 @@ the basis included, is an int d (FamilyParams.value).
 
 A local class is an int of GF(2) coordinates, localsolve.local_class: the
 sign at infinity, and at a prime the valuation's parity and the unit's
-class.  The verdict table maps (place, local class) to the representative's
-verdict; verdict_at reads it for any d, and local_images lists every class
-the basis reaches, deciding the skipped ones once each.  In the JSON and CSV
-outputs a class is labelled "sign=+1" / "sign=-1" at infinity and
+class.  The verdict table maps (place, local class) to the LocalVerdict the
+oracle gave on the class's representative d; verdict_at reads it for any d,
+and local_images lists every class the basis reaches, deciding the skipped
+ones once each.  In the JSON and CSV outputs a class is labelled by
+LocalVerdict.label, "sign=+1" / "sign=-1" at infinity and
 "val=<valuation mod 2>,unit=<tag>" at a prime, both read off the class bits
 by localsolve.class_label: the tag is the unit's Legendre symbol at odd l
 and its residue mod 8 at l = 2.
@@ -49,7 +50,7 @@ from .family import (
     class_of_integer,
     enumerate_square_classes,  # noqa: F401  (kept importable; the bench tracer wraps it)
 )
-from .localsolve import LocalVerdict, class_label, local_class, local_verdict
+from .localsolve import LocalVerdict, local_class, local_verdict
 
 
 def _columns(params: FamilyParams, place) -> list[int]:
@@ -85,19 +86,7 @@ def class_representatives(params: FamilyParams, place) -> dict[int, int]:
     return {c: params.value(bits) for c, bits in reps.items()}
 
 
-@dataclass(frozen=True)
-class ClassVerdict:
-    """Oracle verdict for one local class, decided on its representative d."""
-
-    d: int
-    verdict: LocalVerdict
-
-    @property
-    def label(self) -> str:
-        return class_label(self.d, self.verdict.place)
-
-
-def _decide(table: dict, params: FamilyParams, kind: str, place, c: int, reps=None) -> ClassVerdict:
+def _decide(table: dict, params: FamilyParams, kind: str, place, c: int, reps=None) -> LocalVerdict:
     """Table entry of local class c at place; the oracle decides it on its representative once.
 
     reps is _class_reps of the place's columns, computed here when not given.
@@ -106,8 +95,8 @@ def _decide(table: dict, params: FamilyParams, kind: str, place, c: int, reps=No
     if entry is None:
         if reps is None:
             reps = _class_reps(_columns(params, place))
-        d = params.value(reps[c])
-        entry = table[(place, c)] = ClassVerdict(d, local_verdict(build_space(params, d, kind), place))
+        space = build_space(params, params.value(reps[c]), kind)
+        entry = table[(place, c)] = local_verdict(space, place)
     return entry
 
 
@@ -118,7 +107,8 @@ class SelmerGroup:
     basis is the reduced basis, each vector as its int d, ordered by the lowest
     set bit of its exponent bits.
 
-    verdict_table maps (place, local class) to its ClassVerdict.  It holds
+    verdict_table maps (place, local class) to the LocalVerdict of its
+    representative, whose d and label name the class.  It holds
     the classes compute_selmer needed: at each place, those reached by the
     classes that passed every earlier place.  So members have verdicts at
     every place, and non-members up to their first failing place.
@@ -167,10 +157,10 @@ class SelmerGroup:
     def verdict_at(self, d: int, place) -> LocalVerdict:
         """The oracle verdict at place for any d on the basis: that of d's local class."""
         c = local_class(d, place)
-        return _decide(self.verdict_table, self.params, self.kind, place, c).verdict
+        return _decide(self.verdict_table, self.params, self.kind, place, c)
 
     def local_images(self) -> dict:
-        """ClassVerdict of every class the basis reaches, in place order, then class order."""
+        """LocalVerdict of every class the basis reaches, in place order, then class order."""
         out = {}
         for place in self.params.places():
             reps = _class_reps(_columns(self.params, place))
@@ -210,7 +200,7 @@ def compute_selmer(params: FamilyParams, kind: str) -> SelmerGroup:
         reps = _class_reps(columns)
         images = [_image(columns, x) for x in survivors]
         reached = sorted(_class_reps(images))
-        solvable = {c for c in reached if _decide(table, params, kind, place, c, reps).verdict.solvable}
+        solvable = {c for c in reached if _decide(table, params, kind, place, c, reps).solvable}
         assert 0 in solvable and all(
             a ^ b in solvable for a in solvable for b in solvable
         ), f"solvable local classes at {place} must form a subgroup"
@@ -263,10 +253,9 @@ def to_jsonable(
         out["elements"] = group.element_values()
     if include_table:
         table: dict[str, dict] = {}
-        for (place, _), entry in group.local_images().items():
-            verdict = entry.verdict
-            table.setdefault(str(place), {})[entry.label] = {
-                "d": entry.d,
+        for verdict in group.local_images().values():
+            table.setdefault(str(verdict.place), {})[verdict.label] = {
+                "d": verdict.d,
                 "solvable": verdict.solvable,
                 "search_depth": verdict.search_depth,
                 "witness": _jsonable_witness(verdict.witness),

@@ -36,7 +36,7 @@ from typing import Callable
 
 from .arith import legendre_symbol
 from .family import PHI, PHI_HAT, FamilyParams
-from .selmer import SelmerGroup, compute_selmer
+from .selmer import compute_selmer
 
 
 def pi_minus(params: FamilyParams, i: int) -> int:
@@ -67,14 +67,10 @@ def _signed_d_primes(params: FamilyParams) -> list[int]:
     return [Di if Di % 4 == 1 else -Di for Di in params.d_primes]
 
 
-def _phi_witnesses(params: FamilyParams, sign: int | None = None) -> list[int]:
-    """The signed D_i that pass _is_phi_witness (claims 1.1 and 1.6).
-
-    sign defaults to epsilon; +1 keeps only the positive ones.
-    """
-    s = params.epsilon if sign is None else sign
+def _phi_witnesses(params: FamilyParams, sign: int) -> list[int]:
+    """The signed D_i that pass _is_phi_witness (claims 1.1 and 1.6); sign +1 keeps dv > 0."""
     signed = _signed_d_primes(params)
-    return [dv for dv in signed if (s == -1 or dv > 0) and _is_phi_witness(params, dv)]
+    return [dv for dv in signed if (sign == -1 or dv > 0) and _is_phi_witness(params, dv)]
 
 
 def rho_plus(params: FamilyParams) -> int:
@@ -310,8 +306,8 @@ class TheoremReport:
         }
 
 
-def _rank_sha_sum(gphi: SelmerGroup, ghat: SelmerGroup) -> int:
-    return gphi.dim2 + ghat.dim2 - 2
+def _rank_sha_sum(params: FamilyParams) -> int:
+    return compute_selmer(params, PHI).dim2 + compute_selmer(params, PHI_HAT).dim2 - 2
 
 
 def _alpha_condition(params: FamilyParams) -> bool:
@@ -331,12 +327,12 @@ def _prime_curves_pass_two(params: FamilyParams) -> bool:
 class _Claim:
     epsilon: int
     hypotheses: Callable[[FamilyParams], bool]
-    run: Callable[[FamilyParams, Callable[[str], SelmerGroup]], tuple[str, dict, bool, str | None]]
+    run: Callable[[FamilyParams], tuple[str, dict, bool, str | None]]
 
 
-def _run_rho_phi(params, groups):
-    g = groups(PHI)
-    witnesses = _phi_witnesses(params)
+def _run_rho_phi(params):
+    g = compute_selmer(params, PHI)
+    witnesses = _phi_witnesses(params, params.epsilon)
     rho = len(witnesses)
     ok = g.dim2 >= rho and all(g.contains_value(w) for w in witnesses)
     signed = "signed " if params.epsilon == -1 else ""
@@ -351,8 +347,8 @@ def _run_rho_phi(params, groups):
     return claimed, observed, ok, branch
 
 
-def _run_rho_prime(params, groups):
-    g = groups(PHI_HAT)
+def _run_rho_prime(params):
+    g = compute_selmer(params, PHI_HAT)
     indices = prime_curve_indices(params)
     rp = len(indices)
     witnesses = [params.d_primes[i - 1] for i in sorted(indices)]
@@ -375,11 +371,11 @@ def _orders(phi=None, hat=None, members=None):
     bounds = [(kind, b) for kind, b in ((PHI, phi), (PHI_HAT, hat)) if b is not None]
     total = phi[0] + hat[0] - 2 if phi and hat and phi[0] == phi[1] and hat[0] == hat[1] else None
 
-    def run(params, groups):
+    def run(params):
         n = params.n
         parts, observed, ok = [], {}, True
         for kind, (lo, hi) in bounds:
-            order = observed[f"order_{kind}"] = groups(kind).order
+            order = observed[f"order_{kind}"] = compute_selmer(params, kind).order
             if lo == hi:
                 parts.append(f"order({kind}) == 2^{n + lo}")
             else:
@@ -388,10 +384,10 @@ def _orders(phi=None, hat=None, members=None):
         if members is not None:
             phrase, values = members(params)
             parts[-1] += f" with {phrase}"
-            g = groups(bounds[-1][0])
+            g = compute_selmer(params, bounds[-1][0])
             ok = ok and all(g.contains_value(v) for v in values)
         if total is not None:
-            s = observed["rank_sha_sum"] = _rank_sha_sum(groups(PHI), groups(PHI_HAT))
+            s = observed["rank_sha_sum"] = _rank_sha_sum(params)
             parts.append(f"sum identity == {2 * n + total}")
             ok = ok and s == 2 * n + total
         return ", ".join(parts), observed, ok, None
@@ -399,18 +395,18 @@ def _orders(phi=None, hat=None, members=None):
     return run
 
 
-def _run_1_4(params, groups):
+def _run_1_4(params):
     if not _alpha_condition(params):
-        return _orders(hat=(2, 3))(params, groups)
-    return (*_orders(hat=(3, 3))(params, groups)[:3], "exact-top")
+        return _orders(hat=(2, 3))(params)
+    return (*_orders(hat=(3, 3))(params)[:3], "exact-top")
 
 
-def _run_1_5a(params, groups):
+def _run_1_5a(params):
     # CONSTRAINTS["1.5A"] (D_i = 1 mod 4, (p - D) mod 8 in (0, 2)) forces
     # p = 3 mod 4 or p = D mod 8, so every instance takes the exact branch
-    claimed, observed, ok, _ = _orders(phi=(0, 0), hat=(2, 3))(params, groups)
+    claimed, observed, ok, _ = _orders(phi=(0, 0), hat=(2, 3))(params)
     n = params.n
-    total = observed["rank_sha_sum"] = _rank_sha_sum(groups(PHI), groups(PHI_HAT))
+    total = observed["rank_sha_sum"] = _rank_sha_sum(params)
     claimed += f"; order(phi_hat) == 2^{n + 3} and sum identity == {2 * n + 1}"
     ok = ok and observed["order_phi_hat"] == (1 << (n + 3)) and total == 2 * n + 1
     return claimed, observed, ok, "exact"
@@ -460,8 +456,8 @@ def verify_theorem(params: FamilyParams, theorem_id: str) -> TheoremReport:
         return TheoremReport(
             theorem_id, params, False, "hypotheses not satisfied", {}, "not-applicable"
         )
-    # compute_selmer keeps both groups of the instance, so runners may ask again
-    claimed, observed, ok, branch = claim.run(params, lambda kind: compute_selmer(params, kind))
+    # runners call compute_selmer, which keeps both groups of the instance
+    claimed, observed, ok, branch = claim.run(params)
     return TheoremReport(
         theorem_id,
         params,

@@ -49,10 +49,9 @@ def enumerating_audit(params, groups=None) -> list[dict]:
                         }
                     )
             mem = criteria._membership_with_rule(params, kind, dv)
-            if mem is not None:
-                want, rule = mem
+            if mem.applicable:
                 have = group.contains_value(dv)
-                if want != have:
+                if mem.solvable != have:
                     rows.append(
                         {
                             "check": "membership",
@@ -60,8 +59,8 @@ def enumerating_audit(params, groups=None) -> list[dict]:
                             "kind": kind,
                             "d": dv,
                             "place": "",
-                            "rule": rule,
-                            "closed_form": want,
+                            "rule": mem.rule_id,
+                            "closed_form": mem.solvable,
                             "oracle": have,
                         }
                     )

@@ -151,4 +151,4 @@ def reference_padic_solvable(space: HomogeneousSpace, l: int) -> LocalVerdict:
         raise ValueError(f"not a prime: {l}")
     search = _DigitSearch(space, l)
     witness = search.run()
-    return LocalVerdict(l, witness is not None, witness, search.max_depth)
+    return LocalVerdict(l, space.d, witness is not None, witness, search.max_depth)

@@ -11,9 +11,9 @@ from twinselmer.criteria import (
     closed_form_local,
     membership_closed_form,
 )
-from twinselmer.family import validate_params
+from twinselmer.family import FamilyParams, validate_params
 from twinselmer.localsolve import local_verdict
-from twinselmer.theorems import pi_plus
+from twinselmer.theorems import _d_two_adic, _minus_pq_two_adic, _two_adic_unit_case, pi_plus
 
 from helpers import random_instances
 from reference_audit import enumerating_audit
@@ -108,6 +108,38 @@ def test_forced_point_rule_matches_oracle():
         assert v.applicable and v.solvable is True and v.rule_id == "C':rational-point"
 
 
+def test_two_adic_rules_are_constant_on_residues_mod_8():
+    # the 2-adic closed forms are written mod 16 but read p, q = p + 2, D_i,
+    # D/D_i and D only mod 8: each takes one value on every odd lift mod 64
+    # of a residue pattern mod 8.  The rules read residues alone, so
+    # FamilyParams is built on lifts that need not be prime.
+    odd = range(1, 64, 2)
+    seen = {}
+
+    def constant(key, value):
+        assert seen.setdefault(key, value) == value, key
+
+    for p in odd:
+        for D in odd:
+            constant(("-pq", p % 8, D % 8), _minus_pq_two_adic(p, D))
+            constant(("D", p % 8, D % 8), _d_two_adic(p, D))
+            for eps in (1, -1):
+                params = FamilyParams(eps, p, p + 2, (D,))
+                for dv in (2, -2):
+                    cf = closed_form_local(params, ts.PHI, dv, 2)
+                    if cf.applicable:
+                        constant((cf.rule_id, eps, p % 8, D % 8), cf.solvable)
+                for dh in odd:
+                    constant(("Di", eps, p % 8, D % 8, dh % 8),
+                             _two_adic_unit_case(D, p, p + 2, eps, dh))
+    assert {key[0] for key in seen} == {"-pq", "D", "Di", "C:2:mod16", "C:-2:mod16"}
+    # C:2:mod16 is one form for both signs: the eps = -1 form D(D + 2p + 2)
+    # gives the same verdict on every odd lift
+    for p in odd:
+        for D in odd:
+            assert ((D * (D + 2 * p + 2)) % 16 == 1) == seen[("C:2:mod16", -1, p % 8, D % 8)]
+
+
 def test_audit_reads_the_oracle_by_local_class(monkeypatch):
     params = validate_params(-1, 5, 7, [11, 13, 17])
     groups = {kind: ts.compute_selmer(params, kind) for kind in (ts.PHI, ts.PHI_HAT)}
@@ -180,16 +212,10 @@ def test_audit_matches_reference_under_rule_mutants(monkeypatch):
     # every rule must fire on some instance
     instances = random_instances(seed=6161, count=6, prime_bound=200)
     groups = {params: _groups(params) for params in instances}
-    rule, membership = criteria._rule, criteria._membership_with_rule
+    # every local and membership rule is built by criteria._rule
+    rule = criteria._rule
     for rid in LOCAL_RULES + MEMBERSHIP_RULES:
-        if rid in LOCAL_RULES:
-            monkeypatch.setattr(criteria, "_rule", lambda ok, r, rid=rid: rule(ok != (r == rid), r))
-        else:
-            def flipped(params, kind, dv, rid=rid):
-                res = membership(params, kind, dv)
-                return (not res[0], rid) if res is not None and res[1] == rid else res
-
-            monkeypatch.setattr(criteria, "_membership_with_rule", flipped)
+        monkeypatch.setattr(criteria, "_rule", lambda ok, r, rid=rid: rule(ok != (r == rid), r))
         fired = set()
         for params in instances:
             keys = _keys(audit_params(params, groups[params]))
@@ -207,9 +233,9 @@ def test_audit_matches_reference_under_oracle_flips():
     for params in random_instances(seed=8181, count=3, prime_bound=200, max_n=2):
         groups = _groups(params)
         for kind, group in groups.items():
-            for key, entry in group.local_images().items():
-                verdict = dataclasses.replace(entry.verdict, solvable=not entry.verdict.solvable)
-                table = {**group.verdict_table, key: dataclasses.replace(entry, verdict=verdict)}
+            for key, verdict in group.local_images().items():
+                flipped = dataclasses.replace(verdict, solvable=not verdict.solvable)
+                table = {**group.verdict_table, key: flipped}
                 wrong = {**groups, kind: dataclasses.replace(group, verdict_table=table)}
                 keys = _keys(audit_params(params, wrong))
                 assert keys == _keys(enumerating_audit(params, wrong)), (params, kind, key)
@@ -226,9 +252,10 @@ def test_audit_covers_every_applicable_cell():
         for kind in (ts.PHI, ts.PHI_HAT):
             for dv in ts.enumerate_square_classes(params):
                 mem = criteria._membership_with_rule(params, kind, dv)
-                if mem is not None:
-                    assert mem[1] in MEMBERSHIP_RULES
-                    assert dv in values or mem[1] in EXCLUDED_RULES, (params, kind, dv, mem)
+                assert isinstance(mem, criteria.ClosedFormVerdict)
+                if mem.applicable:
+                    assert mem.rule_id in MEMBERSHIP_RULES
+                    assert dv in values or mem.rule_id in EXCLUDED_RULES, (params, kind, dv, mem)
                 for place in params.places():
                     cf = closed_form_local(params, kind, dv, place)
                     if not cf.applicable:

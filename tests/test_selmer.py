@@ -73,17 +73,17 @@ def test_verdict_table_records_membership_and_failures():
             group = compute_selmer(params, kind)
             table = dict(group.verdict_table)
             # each entry is its class's verdict, decided on a representative
-            for (place, cls), entry in table.items():
-                assert local_class(entry.d, place) == cls
-                assert entry.verdict.place == place
-                assert local_verdict(build_space(params, entry.d, kind), place) == entry.verdict
+            for (place, cls), verdict in table.items():
+                assert local_class(verdict.d, place) == cls
+                assert verdict.place == place
+                assert local_verdict(build_space(params, verdict.d, kind), place) == verdict
             # members carry a verdict at every place, non-members up to and
             # including their first failing place
             members = set(group.element_values())
             for d in ts.enumerate_square_classes(params):
                 failed = None
                 for place in params.places():
-                    verdict = table[(place, local_class(d, place))].verdict
+                    verdict = table[(place, local_class(d, place))]
                     if not verdict.solvable:
                         failed = place
                         break
@@ -91,7 +91,7 @@ def test_verdict_table_records_membership_and_failures():
                 assert group.contains_value(d) == (d in members)
             # the full local images keep every entry the kernel decided
             images = group.local_images()
-            assert all(images[key] is entry for key, entry in table.items())
+            assert all(images[key] is verdict for key, verdict in table.items())
             assert group.verdict_table == images
 
 
@@ -131,7 +131,7 @@ def test_solvable_local_classes_form_subgroup():
             images = compute_selmer(params, kind).local_images()
             for place in params.places():
                 image = {c for (v, c) in images if v == place}
-                solvable = {c for c in image if images[(place, c)].verdict.solvable}
+                solvable = {c for c in image if images[(place, c)].solvable}
                 assert all(a ^ b in image for a in image for b in image)
                 assert 0 in solvable
                 assert all(a ^ b in solvable for a in solvable for b in solvable)
@@ -277,7 +277,7 @@ def _subgroup_oracle(params, seed):
         solvable[place] = span
 
     def oracle(space, place):
-        return LocalVerdict(place, local_class(space.d, place) in solvable[place], None, 0)
+        return LocalVerdict(place, space.d, local_class(space.d, place) in solvable[place], None, 0)
 
     return oracle, solvable
 
