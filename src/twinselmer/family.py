@@ -85,15 +85,25 @@ class FamilyParams:
         }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_params(epsilon: int, p: int, q: int, d_primes) -> FamilyParams:
-    """Validate (eps, p, q, D_1..D_n) and return FamilyParams; raise on bad input."""
-    if epsilon not in (1, -1):
-        raise InvalidParamsError(f"epsilon must be +1 or -1, got {epsilon}")
-    if not arith.is_twin_pair(p, q):
-        raise InvalidParamsError(f"({p}, {q}) is not a twin pair of odd primes")
-    ds = tuple(int(x) for x in d_primes)
+    """Validate (eps, p, q, D_1..D_n) and return FamilyParams; raise on bad input.
+
+    Every value must be an int: a float, a bool or a string is rejected, not converted.
+    """
+    if not _is_int(epsilon) or epsilon not in (1, -1):
+        raise InvalidParamsError(f"epsilon must be +1 or -1, got {epsilon!r}")
+    if not (_is_int(p) and _is_int(q) and arith.is_twin_pair(p, q)):
+        raise InvalidParamsError(f"({p!r}, {q!r}) is not a twin pair of odd primes")
+    ds = tuple(d_primes)
     if not ds:
         raise InvalidParamsError("at least one prime D_i is required")
+    for x in ds:
+        if not _is_int(x):
+            raise InvalidParamsError(f"D_i must be ints, got {x!r}")
     if len(set(ds)) != len(ds):
         raise InvalidParamsError(f"D primes must be distinct, got {ds}")
     for x in ds:

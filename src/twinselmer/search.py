@@ -3,7 +3,8 @@
 The sieve reads the hypothesis table theorems.CONSTRAINTS, the same entries
 verify_theorem checks: p first, then each D prime of the pool, then each
 chosen set.  Candidates are scanned smallest-first and deterministically:
-twin pairs ascending, then D primes by backtracking over an ascending pool,
+twin pairs ascending (below 10^6, sieved in growing blocks only as far as
+the scan reads), then D primes by backtracking over an ascending pool,
 pruned pairwise where the entry asks for it.  Every hit is revalidated
 through verify_theorem before it is returned; a hit whose claim fails is
 raised as a counterexample (ClaimFailedError), never returned.
@@ -39,9 +40,22 @@ class ClaimFailedError(Exception):
 
 
 @cache
-def _twin_table() -> tuple[tuple[int, int], ...]:
-    """Twin pairs below _TWIN_LIMIT, sieved on the first search rather than at import."""
-    return tuple(twin_pairs_up_to(_TWIN_LIMIT))
+def _twin_block(low: int, high: int) -> tuple[tuple[int, int], ...]:
+    """Twin pairs (p, q) with low < q <= high, sieved on first read and kept for later scans."""
+    return tuple((p, q) for p, q in twin_pairs_up_to(high) if q > low)
+
+
+def _twin_pairs():
+    """Twin pairs below _TWIN_LIMIT, ascending.
+
+    Sieved in blocks that grow fourfold from 1,024, so a scan that stops
+    early never pays for the pairs it does not read.
+    """
+    low, high = 0, 1024
+    while low < _TWIN_LIMIT:
+        high = min(high, _TWIN_LIMIT)
+        yield from _twin_block(low, high)
+        low, high = high, 4 * high
 
 
 def _note(progress, msg: str) -> None:
@@ -77,9 +91,9 @@ def find_family(
 ) -> FamilyParams | None:
     """Smallest admissible instance of a catalog entry's hypotheses, or None.
 
-    All D_i are kept <= bound; twin pairs are scanned ascending from the
-    fixed table of twin pairs below 10^6.  Raises ClaimFailedError when the claim
-    fails on the first admissible instance.
+    All D_i are kept <= bound; twin pairs below 10^6 are scanned ascending,
+    sieved block by block only as far as the scan reads.  Raises
+    ClaimFailedError when the claim fails on the first admissible instance.
     """
     cs = CONSTRAINTS.get(corollary_id)
     if cs is None:
@@ -94,7 +108,7 @@ def find_family(
     deadline = math.inf if time_budget is None else time.monotonic() + time_budget
     base_pool = [r for r in primes_up_to(bound) if r % 2 == 1]
     tested = 0
-    for p, q in _twin_table():
+    for p, q in _twin_pairs():
         if time.monotonic() >= deadline:
             break
         if not cs.p_ok(p):

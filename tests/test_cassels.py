@@ -12,6 +12,7 @@ without the oracle, on every allowed cell of the catalog entries that state
 both orders exactly.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -114,3 +115,18 @@ def test_catalog_exact_orders_agree_with_the_closed_form():
 @pytest.mark.parametrize("check", [_grid_mismatches, _catalog_mismatches])
 def test_flipped_t2_cells_fail(check):
     assert check(FLIPPED_T2_CELLS)
+
+
+@pytest.mark.parametrize("kind", [ts.PHI, ts.PHI_HAT])
+def test_dropped_basis_vector_fails(monkeypatch, kind):
+    # a group of one kind that loses a basis vector shifts the difference by one
+    compute = ts.compute_selmer
+
+    def dropping(params, k):
+        group = compute(params, k)
+        if k == kind and group.basis:
+            return dataclasses.replace(group, basis=group.basis[1:])
+        return group
+
+    monkeypatch.setattr(ts, "compute_selmer", dropping)
+    assert _grid_mismatches()

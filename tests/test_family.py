@@ -47,6 +47,19 @@ def test_validate_params_rejects():
         validate_params(1, 3, 5, [2])  # even
     with pytest.raises(InvalidParamsError):
         validate_params(2, 3, 5, [7])  # bad epsilon
+    # ints only: nothing is truncated or coerced
+    for bad in (
+        (True, 3, 5, [7]),  # bool epsilon
+        (1.0, 3, 5, [7]),
+        (1, 3.0, 5, [7]),  # float p
+        (1, 3, 5.0, [7]),
+        (1, 3, 5, [61.9]),  # float D prime, once truncated to 61
+        (1, 3, 5, [61.0]),
+        (1, 3, 5, [True]),
+        (1, 3, 5, ["61"]),
+    ):
+        with pytest.raises(InvalidParamsError):
+            validate_params(*bad)
 
 
 def test_places_order():

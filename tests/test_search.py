@@ -6,10 +6,31 @@ import pytest
 
 import twinselmer as ts
 from twinselmer import search
+from twinselmer.arith import twin_pairs_up_to
 from twinselmer.search import CONSTRAINTS, ClaimFailedError, demonstrate_large_selmer, find_family
 from twinselmer.theorems import rho_plus, verify_theorem
 
 from helpers import SEARCH_HITS, failing_verify
+
+
+def test_twin_stream_is_the_full_table():
+    table = tuple(twin_pairs_up_to(10**6))
+    assert tuple(search._twin_pairs()) == table
+    # a second scan reads the kept blocks and yields the same sequence
+    assert tuple(search._twin_pairs()) == table
+
+
+def test_find_family_sieves_only_as_far_as_it_scans(monkeypatch):
+    limits = []
+
+    def recording(n):
+        limits.append(n)
+        return twin_pairs_up_to(n)
+
+    monkeypatch.setattr(search, "twin_pairs_up_to", recording)
+    fam = find_family(1, "1.2A", 1, 100)
+    assert fam is not None and (fam.p, fam.q, fam.d_primes) == (3, 5, (61,))
+    assert limits and max(limits) <= 4096, limits
 
 
 def test_find_family_examples():
