@@ -232,7 +232,7 @@ def audit_params(params: FamilyParams, groups=None) -> list[dict]:
     for kind in (PHI, PHI_HAT):
         group = groups[kind]
         for place in params.places():
-            for dv in sorted(values.union(selmer.class_representatives(params, place).values())):
+            for dv in sorted(values.union(group.representatives[place].values())):
                 cf = closed_form_local(params, kind, dv, place)
                 if cf.applicable:
                     record("local", kind, dv, str(place), cf, group.verdict_at(dv, place).solvable)

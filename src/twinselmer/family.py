@@ -98,7 +98,10 @@ def validate_params(epsilon: int, p: int, q: int, d_primes) -> FamilyParams:
         raise InvalidParamsError(f"epsilon must be +1 or -1, got {epsilon!r}")
     if not (_is_int(p) and _is_int(q) and arith.is_twin_pair(p, q)):
         raise InvalidParamsError(f"({p!r}, {q!r}) is not a twin pair of odd primes")
-    ds = tuple(d_primes)
+    try:
+        ds = tuple(d_primes)
+    except TypeError:
+        raise InvalidParamsError(f"D primes must be an iterable of ints, got {d_primes!r}") from None
     if not ds:
         raise InvalidParamsError("at least one prime D_i is required")
     for x in ds:

@@ -18,7 +18,7 @@ from functools import cache
 
 from .arith import legendre_symbol  # noqa: F401  (kept importable; the bench tracer wraps it)
 from .arith import primes_up_to, twin_pairs_up_to
-from .family import PHI, PHI_HAT, FamilyParams, validate_params
+from .family import PHI, PHI_HAT, FamilyParams, _is_int, validate_params
 from .selmer import compute_selmer  # noqa: F401  (kept importable; the bench tracer wraps it)
 from .theorems import (
     CONSTRAINTS,
@@ -102,8 +102,12 @@ def find_family(
         )
     if cs.epsilon != epsilon:
         raise ValueError(f"{corollary_id} applies to epsilon={cs.epsilon}, got {epsilon}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
+    if not _is_int(bound):
+        raise ValueError(f"bound must be an int, got {bound!r}")
+    if time_budget is not None and math.isnan(time_budget):
+        raise ValueError("time_budget must be a number of seconds, got nan")
     # checked between candidates, never mid-verdict
     deadline = math.inf if time_budget is None else time.monotonic() + time_budget
     base_pool = [r for r in primes_up_to(bound) if r % 2 == 1]
@@ -153,8 +157,8 @@ def demonstrate_large_selmer(
     progress=None,
 ) -> FamilyParams | None:
     """Instance with oracle-verified dim2 >= target_dim, built by prime stacking."""
-    if target_dim < 0:
-        raise ValueError("target_dim must be >= 0")
+    if not _is_int(target_dim) or target_dim < 0:
+        raise ValueError(f"target_dim must be an int >= 0, got {target_dim!r}")
     key = (epsilon, kind)
     if key not in _STACKING:
         raise ValueError(f"unsupported (epsilon, kind) = {key}")

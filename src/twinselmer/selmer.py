@@ -10,7 +10,8 @@ into Q_v*/Q_v*^2 (rank 1 at infinity, 2 at odd l, 3 at l = 2) and, place by
 place, decides one representative d per local class reached by the classes
 that passed every earlier place (at most 2 + 8 + 4(n + 2) oracle calls per
 group).  It checks that the solvable classes form a subgroup, and one
-Gaussian elimination keeps the survivor combinations whose image lies in it.
+GF(2) echelon (_echelon, which gf2_rref also reduces) keeps the survivor
+combinations whose image lies in it.
 The 2^(n+4) square classes are never enumerated; elements are listed from
 the basis when asked for.  A class no survivor reaches is skipped: at a
 large prime an unsolvable class costs a scan of every residue.  The engine
@@ -19,8 +20,10 @@ the basis included, is an int d (FamilyParams.value).
 
 A local class is an int of GF(2) coordinates, localsolve.local_class: the
 sign at infinity, and at a prime the valuation's parity and the unit's
-class.  The verdict table maps (place, local class) to the LocalVerdict the
-oracle gave on the class's representative d; verdict_at reads it for any d,
+class.  SelmerGroup.representatives maps each place to every local class the
+basis reaches and the d it is decided on: the product of the earliest
+generators that reach it.  The verdict table maps (place, local class) to
+the LocalVerdict the oracle gave on that d; verdict_at reads it for any d,
 and local_images lists every class the basis reaches, deciding the skipped
 ones once each.  In the JSON and CSV outputs a class is labelled by
 LocalVerdict.label, "sign=+1" / "sign=-1" at infinity and
@@ -39,7 +42,7 @@ FamilyParams must come from family.validate_params, which makes it hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -53,11 +56,6 @@ from .family import (
 from .localsolve import LocalVerdict, local_class, local_verdict
 
 
-def _columns(params: FamilyParams, place) -> list[int]:
-    """Local class of each generator (-1, 2, p, q, D_1..D_n) at place."""
-    return [local_class(g, place) for g in params.basis()]
-
-
 def _image(columns, bits: int) -> int:
     """Local class of the square class with these bits, given each generator's class."""
     c = 0
@@ -67,37 +65,33 @@ def _image(columns, bits: int) -> int:
     return c
 
 
-def _class_reps(columns) -> dict[int, int]:
-    """Every class in the span of columns, with the bits of a representative.
-
-    A class's representative uses the earliest columns that reach it, so
-    every caller picks the same one.
-    """
-    reps = {0: 0}
-    for j, col in enumerate(columns):
-        if col not in reps:
-            reps.update({c ^ col: r | 1 << j for c, r in reps.items()})
-    return reps
+def _span(rows) -> list[int]:
+    """Every GF(2) sum of the independent integer bitmasks rows, 0 included, each once."""
+    span = [0]
+    for row in rows:
+        span += [x ^ row for x in span]
+    return span
 
 
-def class_representatives(params: FamilyParams, place) -> dict[int, int]:
-    """Each local class at place the basis reaches, with the d that _decide decides it on."""
-    reps = _class_reps(_columns(params, place))
-    return {c: params.value(bits) for c, bits in reps.items()}
+def _echelon(rows) -> dict[int, int]:
+    """Echelon basis of the span of integer bitmasks over GF(2), keyed by each row's lowest set bit."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row & -row in pivots:
+            row ^= pivots[row & -row]
+        if row:
+            pivots[row & -row] = row
+    return pivots
 
 
-def _decide(table: dict, params: FamilyParams, kind: str, place, c: int, reps=None) -> LocalVerdict:
-    """Table entry of local class c at place; the oracle decides it on its representative once.
-
-    reps is _class_reps of the place's columns, computed here when not given.
-    """
-    entry = table.get((place, c))
-    if entry is None:
-        if reps is None:
-            reps = _class_reps(_columns(params, place))
-        space = build_space(params, params.value(reps[c]), kind)
-        entry = table[(place, c)] = local_verdict(space, place)
-    return entry
+def gf2_rref(rows) -> list[int]:
+    """Reduced row-echelon basis of the span of integer bitmasks over GF(2)."""
+    pivots = _echelon(rows)
+    for low in sorted(pivots, reverse=True):  # back-substitute for canonical form
+        for other in pivots:
+            if other != low and pivots[other] & low:
+                pivots[other] ^= pivots[low]
+    return [pivots[low] for low in sorted(pivots)]
 
 
 @dataclass(frozen=True)
@@ -107,8 +101,11 @@ class SelmerGroup:
     basis is the reduced basis, each vector as its int d, ordered by the lowest
     set bit of its exponent bits.
 
-    verdict_table maps (place, local class) to the LocalVerdict of its
-    representative, whose d and label name the class.  It holds
+    representatives maps each place to {local class: d} for every class the
+    basis reaches there; d is the product of the earliest generators (-1, 2,
+    p, q, D_1..D_n) that reach the class, and the oracle decides the class on
+    it.  verdict_table maps (place, local class) to that LocalVerdict, whose
+    d and label name the class.  It holds
     the classes compute_selmer needed: at each place, those reached by the
     classes that passed every earlier place.  So members have verdicts at
     every place, and non-members up to their first failing place.
@@ -122,6 +119,7 @@ class SelmerGroup:
     params: FamilyParams
     basis: tuple[int, ...]
     verdict_table: dict
+    representatives: dict
 
     @property
     def dim2(self) -> int:
@@ -138,10 +136,7 @@ class SelmerGroup:
 
     def element_values(self) -> list[int]:
         """Every member, ascending: the span of the basis."""
-        span = [0]
-        for row in self._basis_bits:
-            span += [x ^ row for x in span]
-        return sorted(self.params.value(bits) for bits in span)
+        return sorted(self.params.value(bits) for bits in _span(self._basis_bits))
 
     def contains_value(self, v: int) -> bool:
         """Span membership of v's class; False when v is not a class on the basis."""
@@ -154,71 +149,47 @@ class SelmerGroup:
                 bits ^= row
         return bits == 0
 
+    def _decide(self, place, c: int) -> LocalVerdict:
+        """Table entry of local class c at place; the oracle decides it on its representative once."""
+        entry = self.verdict_table.get((place, c))
+        if entry is None:
+            space = build_space(self.params, self.representatives[place][c], self.kind)
+            entry = self.verdict_table[(place, c)] = local_verdict(space, place)
+        return entry
+
     def verdict_at(self, d: int, place) -> LocalVerdict:
         """The oracle verdict at place for any d on the basis: that of d's local class."""
-        c = local_class(d, place)
-        return _decide(self.verdict_table, self.params, self.kind, place, c)
+        return self._decide(place, local_class(d, place))
 
     def local_images(self) -> dict:
         """LocalVerdict of every class the basis reaches, in place order, then class order."""
-        out = {}
-        for place in self.params.places():
-            reps = _class_reps(_columns(self.params, place))
-            for c in sorted(reps):
-                out[(place, c)] = _decide(self.verdict_table, self.params, self.kind, place, c, reps)
-        return out
-
-
-def gf2_rref(rows) -> list[int]:
-    """Reduced row-echelon basis of the span of integer bitmasks over GF(2)."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        cur = row
-        while cur:
-            pos = (cur & -cur).bit_length() - 1
-            if pos in pivots:
-                cur ^= pivots[pos]
-            else:
-                pivots[pos] = cur
-                break
-    # back-substitute for canonical form
-    for pos in sorted(pivots, reverse=True):
-        for other in pivots:
-            if other != pos and (pivots[other] >> pos) & 1:
-                pivots[other] ^= pivots[pos]
-    return [pivots[pos] for pos in sorted(pivots)]
+        return {(place, c): self._decide(place, c)
+                for place, reps in self.representatives.items() for c in sorted(reps)}
 
 
 @lru_cache(maxsize=2)  # the phi and phi_hat groups of the last instance
 def compute_selmer(params: FamilyParams, kind: str) -> SelmerGroup:
     """Preimage of the solvable subgroups, deciding one class per (place, local class) at most."""
     check_kind(kind)
-    table: dict = {}
+    group = SelmerGroup(kind, params, (), {}, {})  # the basis is known once every place is done
     survivors = [1 << j for j in range(len(params.basis()))]  # basis of the classes passing so far
     for place in params.places():
-        columns = _columns(params, place)
-        reps = _class_reps(columns)
+        columns = [local_class(g, place) for g in params.basis()]
+        reps = group.representatives[place] = {0: 1}
+        for g, col in zip(params.basis(), columns):
+            if col not in reps:
+                reps.update({c ^ col: d * g for c, d in reps.items()})
         images = [_image(columns, x) for x in survivors]
-        reached = sorted(_class_reps(images))
-        solvable = {c for c in reached if _decide(table, params, kind, place, c, reps).solvable}
+        reached = sorted(_span(_echelon(images).values()))
+        solvable = {c for c in reached if group._decide(place, c).solvable}
         assert 0 in solvable and all(
             a ^ b in solvable for a in solvable for b in solvable
         ), f"solvable local classes at {place} must form a subgroup"
-        # one elimination of (image, tag) pairs, each solvable class tagged 0 and each
-        # survivor tagged itself: a tag left on image 0 is a combination passing here
-        pivots: dict[int, tuple[int, int]] = {}  # lowest bit -> (image, tag)
-        pairs = [(c, 0) for c in solvable] + list(zip(images, survivors))
-        survivors = []
-        for image, tag in pairs:
-            while (image & -image) in pivots:
-                pivot_image, pivot_tag = pivots[image & -image]
-                image, tag = image ^ pivot_image, tag ^ pivot_tag
-            if image:
-                pivots[image & -image] = (image, tag)
-            elif tag:
-                survivors.append(tag)
-    basis = tuple(params.value(b) for b in gf2_rref(survivors))
-    return SelmerGroup(kind, params, basis, table)
+        # local classes fill bits 0-2 and each survivor is tagged above them: a row
+        # whose lowest bit is in the tag has image 0, a combination passing here
+        rows = _echelon([*solvable, *(image | x << 3 for image, x in zip(images, survivors))])
+        survivors = [row >> 3 for low, row in rows.items() if low >= 8]
+    return replace(group, basis=tuple(params.value(b) for b in gf2_rref(survivors)))
 
 
 def _jsonable_witness(witness: dict | None):

@@ -4,12 +4,14 @@ twinselmer.selmer decides one class per (place, local square class) and
 takes a GF(2) kernel.  This engine assumes neither fact: it tests every
 class at every bad place, in place order, and checks that the members form
 a group.  Tests require both engines to give the same group.
+class_representatives finds the d each local class is decided on by the
+same scan, with no kernel.
 """
 
 from __future__ import annotations
 
 from twinselmer.family import build_space, class_of_integer, enumerate_square_classes
-from twinselmer.localsolve import local_verdict
+from twinselmer.localsolve import local_class, local_verdict
 from twinselmer.selmer import gf2_rref
 
 
@@ -30,3 +32,16 @@ def enumerate_selmer(params, kind):
     assert len(members) == 1 << len(basis), "member set must be a subgroup"
     assert check_group_closure(params, members), "member set must be XOR-closed"
     return members, basis
+
+
+def class_representatives(params, place) -> dict[int, int]:
+    """Each local class at place the basis reaches, with its first class in ascending bit order.
+
+    That first class is the product of the earliest generators that reach
+    the local class: trading a later generator for earlier ones that reach
+    the same class lowers the bits.
+    """
+    reps = {}
+    for d in enumerate_square_classes(params):
+        reps.setdefault(local_class(d, place), d)
+    return reps

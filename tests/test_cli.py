@@ -280,6 +280,11 @@ def test_search_time_budget_flag_and_config(capsys, tmp_path):
     for extra in (("--time-budget", "0"), ("--config", str(cfg))):
         code, out, _ = run_cli(capsys, *base, *extra)
         assert code == cli.EXIT_FAILURE and "none" in out, extra
+    # a nan budget is a usage error, not "no budget"
+    cfg.write_text("time_budget=nan\n")
+    for extra in (("--time-budget", "nan"), ("--config", str(cfg))):
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert code == cli.EXIT_USAGE and out == "" and "nan" in err, extra
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -17,6 +17,7 @@ from twinselmer.theorems import _d_two_adic, _minus_pq_two_adic, _two_adic_unit_
 
 from helpers import random_instances
 from reference_audit import enumerating_audit
+from reference_selmer import class_representatives
 
 
 def test_alpha_examples():
@@ -248,7 +249,7 @@ def test_audit_covers_every_applicable_cell():
     # local class, so the representative of that class gives the same verdict
     for params in random_instances(seed=7171, count=100, prime_bound=300, max_n=4):
         values = criteria._rule_values(params)
-        reps = {place: selmer.class_representatives(params, place) for place in params.places()}
+        reps = {place: class_representatives(params, place) for place in params.places()}
         for kind in (ts.PHI, ts.PHI_HAT):
             for dv in ts.enumerate_square_classes(params):
                 mem = criteria._membership_with_rule(params, kind, dv)

@@ -57,6 +57,8 @@ def test_validate_params_rejects():
         (1, 3, 5, [61.0]),
         (1, 3, 5, [True]),
         (1, 3, 5, ["61"]),
+        (1, 3, 5, 61),  # not an iterable of D primes
+        (1, 3, 5, None),
     ):
         with pytest.raises(InvalidParamsError):
             validate_params(*bad)

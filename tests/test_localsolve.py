@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twinselmer as ts
@@ -123,6 +123,16 @@ def test_local_class_is_a_homomorphism(a, b, place):
 @given(_NONZERO, _PLACES)
 def test_local_class_kills_squares(y, place):
     assert local_class(y * y, place) == 0
+
+
+@_PROPERTY
+@given(_NONZERO, _PLACES)
+@example(-10, 2)  # the largest class at each kind of place: 7, 3 and 1
+@example(6, 3)
+@example(-1, ts.INF_PLACE)
+def test_local_class_fits_below_the_survivor_tag(x, place):
+    # the selmer kernel packs a survivor's tag above bit 2 of its local class
+    assert 0 <= local_class(x, place) < {ts.INF_PLACE: 2, 2: 8}.get(place, 4) <= 8
 
 
 @_PROPERTY

@@ -1,5 +1,6 @@
 """Instance search: sieving determinism, stacking, budgets."""
 
+import math
 import time
 
 import pytest
@@ -77,6 +78,11 @@ def test_find_family_rejects_bad_input():
         find_family(-1, "1.2B", 1, 100)  # epsilon mismatch
     with pytest.raises(ValueError):
         find_family(1, "1.2B", 0, 100)
+    # ints only, and a budget that is a number: nan once meant no budget at all
+    for n, bound, budget in ((1.5, 100, None), (True, 100, None), (1, 100.5, None),
+                             (1, 100, math.nan)):
+        with pytest.raises(ValueError):
+            find_family(1, "1.4ex", n, bound, time_budget=budget)
 
 
 def test_find_family_budget_expires():
@@ -122,8 +128,9 @@ def test_demonstrate_stacks_primes_past_the_base_gain():
 
 
 def test_demonstrate_rejects_bad_target():
-    with pytest.raises(ValueError):
-        demonstrate_large_selmer(1, ts.PHI_HAT, -1)
+    for target in (-1, 4.5, True):
+        with pytest.raises(ValueError):
+            demonstrate_large_selmer(1, ts.PHI_HAT, target)
 
 
 def test_stacking_never_loses_zero_scores():
