@@ -99,9 +99,12 @@ def validate_params(epsilon: int, p: int, q: int, d_primes) -> FamilyParams:
     if not (_is_int(p) and _is_int(q) and arith.is_twin_pair(p, q)):
         raise InvalidParamsError(f"({p!r}, {q!r}) is not a twin pair of odd primes")
     try:
-        ds = tuple(d_primes)
+        # a str or bytes iterates over characters or byte values, never the D primes given
+        ds = None if isinstance(d_primes, (str, bytes, bytearray)) else tuple(d_primes)
     except TypeError:
-        raise InvalidParamsError(f"D primes must be an iterable of ints, got {d_primes!r}") from None
+        ds = None
+    if ds is None:
+        raise InvalidParamsError(f"D primes must be an iterable of ints, got {d_primes!r}")
     if not ds:
         raise InvalidParamsError("at least one prime D_i is required")
     for x in ds:

@@ -7,12 +7,16 @@ twin pairs ascending (below 10^6, sieved in growing blocks only as far as
 the scan reads), then D primes by backtracking over an ascending pool,
 pruned pairwise where the entry asks for it.  Every hit is revalidated
 through verify_theorem before it is returned; a hit whose claim fails is
-raised as a counterexample (ClaimFailedError), never returned.
+raised as a counterexample (ClaimFailedError), never returned.  Each
+verified hit's report is kept for the process (_verify), so a repeated
+query rescans but verifies nothing again, and a kept fail report raises
+ClaimFailedError again.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from functools import cache
 
@@ -56,6 +60,21 @@ def _twin_pairs():
         high = min(high, _TWIN_LIMIT)
         yield from _twin_block(low, high)
         low, high = high, 4 * high
+
+
+@cache
+def _verify(params: FamilyParams, theorem_id: str) -> TheoremReport:
+    """verify_theorem(params, theorem_id), kept for the process: a repeated query verifies nothing."""
+    return verify_theorem(params, theorem_id)
+
+
+def _check_budget(time_budget) -> None:
+    """ValueError unless time_budget is None or a real number of seconds: no bool, str or nan."""
+    if time_budget is None:
+        return
+    if (isinstance(time_budget, bool) or not isinstance(time_budget, numbers.Real)
+            or math.isnan(time_budget)):
+        raise ValueError(f"time_budget must be a number of seconds, got {time_budget!r}")
 
 
 def _note(progress, msg: str) -> None:
@@ -106,8 +125,7 @@ def find_family(
         raise ValueError(f"n must be an int >= 1, got {n!r}")
     if not _is_int(bound):
         raise ValueError(f"bound must be an int, got {bound!r}")
-    if time_budget is not None and math.isnan(time_budget):
-        raise ValueError("time_budget must be a number of seconds, got nan")
+    _check_budget(time_budget)
     # checked between candidates, never mid-verdict
     deadline = math.inf if time_budget is None else time.monotonic() + time_budget
     base_pool = [r for r in primes_up_to(bound) if r % 2 == 1]
@@ -125,7 +143,7 @@ def find_family(
             if not cs.set_ok(p, combo):
                 continue
             params = validate_params(epsilon, p, q, combo)
-            report = verify_theorem(params, cs.theorem_id)
+            report = _verify(params, cs.theorem_id)
             if report.verdict == "fail":
                 raise ClaimFailedError(report)
             if report.verdict != "not-applicable":
@@ -162,6 +180,7 @@ def demonstrate_large_selmer(
     key = (epsilon, kind)
     if key not in _STACKING:
         raise ValueError(f"unsupported (epsilon, kind) = {key}")
+    _check_budget(time_budget)
     corollary_id, gain = _STACKING[key]
     # a hit passed its claim, which gives dim2 >= n + gain for this kind
     n = max(1, target_dim - gain)

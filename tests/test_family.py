@@ -1,6 +1,7 @@
 """Family parameter validation, square classes, descent quartics."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -59,9 +60,16 @@ def test_validate_params_rejects():
         (1, 3, 5, ["61"]),
         (1, 3, 5, 61),  # not an iterable of D primes
         (1, 3, 5, None),
+        (1, 3, 5, "61"),  # a string, once split into the characters '6' and '1'
+        (1, 3, 5, b"61"),  # bytes, once split into the byte values 54 and 49
+        (1, 3, 5, "7"),  # one character that would read as the prime 7
     ):
         with pytest.raises(InvalidParamsError):
             validate_params(*bad)
+    # a str or bytes is rejected as the value the caller gave
+    for given in ("61", b"61", "7"):
+        with pytest.raises(InvalidParamsError, match=re.escape(repr(given))):
+            validate_params(1, 3, 5, given)
 
 
 def test_places_order():

@@ -2,6 +2,7 @@
 
 import math
 import time
+from collections import Counter
 
 import pytest
 
@@ -83,6 +84,10 @@ def test_find_family_rejects_bad_input():
                              (1, 100, math.nan)):
         with pytest.raises(ValueError):
             find_family(1, "1.4ex", n, bound, time_budget=budget)
+    # a budget is a real number of seconds: not a string, and not True read as 1 s
+    for budget in ("5", b"5", True, False, 1j):
+        with pytest.raises(ValueError, match="time_budget"):
+            find_family(1, "1.2A", 1, 100, time_budget=budget)
 
 
 def test_find_family_budget_expires():
@@ -131,6 +136,11 @@ def test_demonstrate_rejects_bad_target():
     for target in (-1, 4.5, True):
         with pytest.raises(ValueError):
             demonstrate_large_selmer(1, ts.PHI_HAT, target)
+    for budget in ("5", True, math.nan, 1j):
+        notes = []
+        with pytest.raises(ValueError, match="time_budget"):
+            demonstrate_large_selmer(1, ts.PHI_HAT, 4, time_budget=budget, progress=notes.append)
+        assert notes == []  # rejected before the search starts
 
 
 def test_stacking_never_loses_zero_scores():
@@ -141,3 +151,57 @@ def test_stacking_never_loses_zero_scores():
     assert fam2.d_primes[0] == fam1.d_primes[0]
     assert rho_plus(fam2) >= rho_plus(fam1)
     assert rho_plus(fam2) == fam2.n  # all scores vanish under these constraints
+
+
+def _counting(verify, calls):
+    """verify, counting its calls per (params, theorem_id) in calls."""
+
+    def counted(params, theorem_id):
+        calls[params, theorem_id] += 1
+        return verify(params, theorem_id)
+
+    return counted
+
+
+def test_repeated_queries_verify_each_hit_once(monkeypatch):
+    # a repeated query rescans and reports as before, but verifies nothing again
+    calls = Counter()
+    monkeypatch.setattr(search, "verify_theorem", _counting(verify_theorem, calls))
+    queries = (
+        lambda note: find_family(1, "1.2B", 2, 1000, progress=note),
+        lambda note: demonstrate_large_selmer(1, ts.PHI_HAT, 4, bound=1000, progress=note),
+    )
+    for query in queries:
+        runs = []
+        for _ in range(2):
+            notes = []
+            runs.append((query(notes.append), notes))
+        assert runs[0][0] is not None and runs[0][1][-1].startswith("hit ")
+        assert runs[1] == runs[0]
+    assert calls and set(calls.values()) == {1}, calls
+
+
+def test_kept_fail_report_raises_on_every_repeat(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(search, "verify_theorem", _counting(failing_verify, calls))
+    queries = (
+        lambda: find_family(1, "1.2B", 1, 100),
+        lambda: demonstrate_large_selmer(1, ts.PHI, 1, bound=100),
+    )
+    for query in queries:
+        reports = []
+        for _ in range(3):
+            with pytest.raises(ClaimFailedError) as caught:
+                query()
+            reports.append(caught.value.report)
+        assert reports[0].verdict == "fail" and reports.count(reports[0]) == 3
+    assert len(calls) == 2 and set(calls.values()) == {1}, calls
+
+
+def test_kept_reports_are_keyed_by_claim():
+    # one instance meets several claims; each keeps its own report
+    params = ts.validate_params(1, 3, 5, (61,))
+    for theorem_id in ("1.2A", "1.2B", "1.5A", "1.10A"):
+        report = search._verify(params, theorem_id)
+        assert report.theorem_id == theorem_id
+        assert report == verify_theorem(params, theorem_id)
