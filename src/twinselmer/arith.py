@@ -6,21 +6,27 @@ import math
 import random
 from itertools import compress
 
-# Fixed Miller-Rabin witness set. Deterministic for every n below
-# 3317044064679887385961981 (> 2**64); above that we fall back to 40
+# Fixed Miller-Rabin witness set: the first 13 primes are deterministic for
+# every n below psi_13 = 3317044064679887385961981 (> 2**81; Sorenson-Webster
+# 2015).  The first 12 stop at psi_12 = 318665857834031151167461, a strong
+# pseudoprime to the bases 2..37.  Above psi_13 we fall back to 40
 # pseudo-random rounds seeded by n so results stay reproducible.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 _MR_ROUNDS = 40
+# a composite below 41**2 has a prime factor <= 37, which trial division finds
+_TRIAL_DIVISION_BOUND = _MR_WITNESSES[-1] ** 2
 
 
 def is_prime(n: int) -> bool:
-    """Primality test, exact for n < 2**64 and strongly probabilistic above."""
+    """Primality test, exact for n < psi_13 (> 2**81) and strongly probabilistic above."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < _TRIAL_DIVISION_BOUND:
+        return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

@@ -98,18 +98,22 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = cache(build_parser)
 
 
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each command's own parser, built with and kept by the cached top-level one."""
+    return next(a for a in _parser()._actions if a.dest == "command").choices
+
+
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Load key=value pairs; per the interface contract they override flags.
+    """Load key=value pairs into args, parsed by the command's parser; they override flags.
 
     Each value passes the same type and choices checks as its flag.
     """
-    commands = next(a for a in parser._actions if a.dest == "command").choices
     flags = {
         a.dest: a
-        for a in commands[args.command]._actions
+        for a in parser._actions
         if a.option_strings and a.dest not in ("help", "config")
     }
     with open(args.config, encoding="utf-8") as fh:
@@ -141,7 +145,44 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """json.dumps(payload, sort_keys=True, indent=2) + "\\n", written in one pass."""
+    return _json_value(payload, "\n") + "\n"
+
+
+def _json_value(value, newline: str) -> str:
+    """One value as sorted, two-space-indented JSON; newline is "\\n" plus its indent.
+
+    The exact types a payload holds are written here; anything else (a float,
+    a subclass, a dict with non-str keys) is left to json.dumps, whose output
+    this matches byte for byte.
+    """
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in value]) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        try:
+            items = [_json_string(k) + ": " + _json_value(v, inner) for k, v in sorted(value.items())]
+        except TypeError:  # a key that is not a str: json.dumps converts or refuses it
+            pass
+        else:
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+
+
+_json_string = json.encoder.encode_basestring_ascii
 
 
 def _emit_csv(tag: str, header: list[str], rows: list[list]) -> None:
@@ -319,15 +360,23 @@ _HANDLERS = {
 def main(argv=None) -> int:
     """Run one command and return its exit code (EXIT_OK .. EXIT_UNDECIDED).
 
-    argv defaults to sys.argv[1:].  The argument parser is built once per
-    process and reused, so an in-process session pays for it once.  Usage
-    errors from argparse exit with status 2 via SystemExit.
+    argv defaults to sys.argv[1:].  The argument parsers are built once per
+    process and reused, so an in-process session pays for them once.  When
+    argv starts with a command name, the rest goes straight to that
+    command's own parser; the top-level parser sees only argv without one
+    (-h, no command, an unknown command).  Usage errors from argparse exit
+    with status 2 via SystemExit, named by the parser that found them.
     """
-    parser = _parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    commands = _commands()
+    if argv and argv[0] in commands:
+        args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        args = _parser().parse_args(argv)
     try:
         if args.config:
-            _apply_config(args, parser)
+            _apply_config(args, commands[args.command])
         return _HANDLERS[args.command](args)
     except OracleUndecidedError as exc:
         print(f"error: oracle undecided: {exc}", file=sys.stderr)

@@ -90,6 +90,10 @@ def test_is_prime_large():
     assert arith.is_prime(2**61 - 1)  # Mersenne prime
     assert not arith.is_prime(2**67 - 1)  # 193707721 * 761838257287
     assert arith.is_prime(10**18 + 9)
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to every base 2..37:
+    # the witnesses need 41 to be exact up to the deterministic bound psi_13
+    assert not arith.is_prime(318665857834031151167461)
+    assert arith.is_prime(798330580441) and arith.is_prime(399165290221)
     # above the deterministic witness bound: a known 82-digit prime shape
     assert arith.is_prime(2**271 - 169)
     assert not arith.is_prime((2**89 - 1) * (2**107 - 1))

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, config handling."""
 
 import argparse
+import collections
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twinselmer import cli, criteria, localsolve, search, selmer, theorems
 from twinselmer.arith import primes_up_to
@@ -176,10 +179,15 @@ def test_main_builds_one_parser(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._parser.cache_clear()
+    fam = ("--epsilon", "+1", "--p", "3", "--q", "5", "--D", "61")
     for _ in range(2):
-        code, _, _ = run_cli(capsys, "compute", "--epsilon", "+1", "--p", "3", "--q", "5", "--D", "61")
-        assert code == cli.EXIT_OK
-    assert built.count("twinselmer") == 1
+        for argv in (("compute", *fam), ("verify", *fam, "--theorem", "1.2B"), ("audit", *fam),
+                     ("search", "--epsilon", "+1", "--corollary", "1.2B", "--bound", "100")):
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == cli.EXIT_OK, argv
+    # the top-level parser and each command's own, once each
+    assert sorted(built) == ["twinselmer", "twinselmer audit", "twinselmer compute",
+                             "twinselmer search", "twinselmer verify"]
 
 
 def test_verify_pass_and_strictness(capsys):
@@ -521,3 +529,111 @@ def test_config_values_pass_flag_checks(capsys, tmp_path):
     with pytest.raises(SystemExit) as caught:
         cli.main([*base, "--format", "xml"])
     assert caught.value.code == cli.EXIT_USAGE
+
+
+def _dispatch_grid(cfg):
+    fam = ("--epsilon", "+1", "--p", "3", "--q", "5", "--D", "61")
+    neg = ("--epsilon", "-1", "--p", "5", "--q", "7", "--D", "61,73")
+    yield ("compute",)
+    for f in (fam, neg, ("--epsilon=-1", "--D=61,73")):
+        yield ("compute", *f)
+        yield ("audit", *f, "--format", "csv")
+        yield ("verify", *f, "--theorem", "1.2B")
+    yield ("compute", *fam, "--kind", "phi_hat", "--seed-table", "--elements", "--format", "json")
+    yield ("compute", *neg, "--seed", "--elem", "--kind", "phi")  # abbreviated switches
+    yield ("compute", *fam, "--config", cfg)
+    yield ("verify", *neg, "--theorem", "1.7B", "--strict", "--format", "json", "--config", cfg)
+    yield ("audit", *neg, "--config", cfg)
+    yield ("search", "--epsilon", "-1", "--corollary", "1.7A", "--n", "2", "--bound", "300",
+           "--time-budget", "1.5", "--format", "csv")
+    yield ("search", "--epsilon", "+1", "--target-dim", "3", "--kind", "phi", "--config", cfg)
+
+
+def test_main_parses_as_the_top_level_parser(monkeypatch, tmp_path):
+    # each command's own parser reads what the top-level parser read before
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=text\n")
+    seen = []
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, lambda args: seen.append(args) or 0))
+    for argv in _dispatch_grid(str(cfg)):
+        assert cli.main(list(argv)) == cli.EXIT_OK, argv
+        expected = cli._parser().parse_args(argv)
+        if expected.config:
+            expected.format = "text"
+        assert seen.pop() == expected, argv
+
+
+def _exit_of(call, capsys):
+    with pytest.raises(SystemExit) as caught:
+        call()
+    captured = capsys.readouterr()
+    return caught.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("-h",), ("--help",), ("frobnicate",), ("Compute", "--epsilon", "+1"),
+    ("compute", "-h"), ("search", "--help"),
+    ("compute", "--epsilon", "2"), ("verify", "--theorem", "9.9"), ("audit", "--p", "three"),
+])
+def test_usage_exits_as_the_top_level_parser(capsys, argv):
+    code, out, err = _exit_of(lambda: cli.main(list(argv)), capsys)
+    assert (code, out, err) == _exit_of(lambda: cli._parser().parse_args(argv), capsys)
+    assert code == (0 if {"-h", "--help"} & set(argv) else cli.EXIT_USAGE)
+
+
+def test_unknown_flag_is_named_by_its_command(capsys):
+    for command in ("compute", "verify", "search", "audit"):
+        code, out, err = _exit_of(lambda: cli.main([command, "--epsilon", "+1", "--bogus", "x"]), capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith(f"usage: twinselmer {command} ")
+        assert f"twinselmer {command}: error: unrecognized arguments: --bogus x" in err
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4) | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_JSON_VALUES)
+@example({"z": [True, False, None, {}, [], ()], "é\"\x00\n": {"b": -0.0, "a": float("nan")}})
+@example([2**70, -(2**70), float("inf"), float("-inf"), "\u2028\U0001f600\\"])
+@example({"s": {1: "one", -2: [True, None]}, "t": collections.OrderedDict(b=1, a=(2,))})
+def test_canonical_json_is_json_dumps(value):
+    assert cli._canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_json_on_every_payload_kind(capsys, monkeypatch):
+    # the payloads the commands print, compared to json.dumps on the objects themselves
+    written = []
+    canonical = cli._canonical_json
+    monkeypatch.setattr(cli, "_canonical_json", lambda payload: written.append(payload) or canonical(payload))
+    fam = ("--epsilon", "+1", "--p", "3", "--q", "5", "--D", "61,41", "--format", "json")
+    neg = ("--epsilon", "-1", "--p", "5", "--q", "7", "--D", "11,13", "--format", "json")
+    search_argv = ("search", "--format", "json", "--epsilon", "+1", "--corollary")
+    argvs = [("compute", *fam, "--kind", kind, *extra)
+             for kind in (PHI, PHI_HAT)
+             for extra in ((), ("--elements",), ("--seed-table",), ("--seed-table", "--elements"))]
+    argvs += [("verify", *f, "--theorem", tid)
+              for f in (fam, neg) for tid in theorems.THEOREM_IDS
+              if theorems._CLAIMS[tid].epsilon == int(f[1])]
+    argvs += [(*search_argv, "1.2B", "--bound", "100"), (*search_argv, "1.2C", "--bound", "10")]
+    for argv in argvs:
+        run_cli(capsys, *argv)
+    monkeypatch.setattr(search, "verify_theorem", failing_verify)
+    search._verify.cache_clear()
+    run_cli(capsys, *search_argv, "1.2B", "--bound", "100")
+    rule = criteria._rule
+    monkeypatch.setattr(criteria, "_rule", lambda ok, r: rule(ok != (r == "C:real-sign"), r))
+    run_cli(capsys, "audit", *fam)
+    assert len(written) == len(argvs) + 2
+    assert [p["verdict"] for p in written[-4:-1]] == ["pass", None, "fail"] and written[-1]["count"]
+    for payload in written:
+        assert canonical(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -44,6 +44,8 @@ def test_validate_params_rejects():
         validate_params(1, 3, 5, [7, 7])  # repeated
     with pytest.raises(InvalidParamsError):
         validate_params(1, 3, 5, [9])  # composite D prime
+    with pytest.raises(InvalidParamsError, match="odd primes"):
+        validate_params(1, 3, 5, (318665857834031151167461,))  # psi_12, composite
     with pytest.raises(InvalidParamsError):
         validate_params(1, 3, 5, [2])  # even
     with pytest.raises(InvalidParamsError):
