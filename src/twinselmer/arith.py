@@ -69,7 +69,11 @@ def legendre_symbol(a: int, l: int) -> int:
 
 
 def _int_valuation(m: int, l: int) -> int:
-    """Exponent of the prime l in the integer m; m must be nonzero, or this never returns."""
+    """Exponent of the prime l in the nonzero integer m; ValueError when m = 0."""
+    if m == 0:
+        raise ValueError("0 has no valuation")
+    if l == 2:
+        return (m & -m).bit_length() - 1  # the lowest set bit, for either sign
     m = abs(m)
     v = 0
     while m % l == 0:

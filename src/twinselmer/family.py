@@ -13,6 +13,7 @@ d*w^2 = g(z), C_d or C'_d, whose coefficients are built here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 from . import arith
@@ -49,7 +50,7 @@ class FamilyParams:
     def n(self) -> int:
         return len(self.d_primes)
 
-    @property
+    @cached_property  # build_space reads it for every decided class
     def D(self) -> int:
         return prod(self.d_primes)
 

@@ -20,6 +20,14 @@ local_class(unit, l) == 0.
     search re-centres, y = s + l*y', moves the content of the shifted
     polynomial into val, and descends.
 
+Each search is set up in closed form.  With d*g = c0 + c2*z^2 + c4*z^4,
+the valuations v0, v2, v4 of c0, c2, c4 are taken once: patch 1 is d*g
+over l^min(v0, v2, v4), patch 2 is c4 + c2*l^2*y^2 + c0*l^4*y^4 over
+l^min(v4, v2 + 2, v0 + 4), and c2 = 0 never sets the content.  A re-centring
+shifts straight to P(s + l*y), whose first two coefficients are P(s) and
+l*P'(s), and its content is one valuation of the coefficients' gcd.  At
+l = 2 every valuation is read off the lowest set bit.
+
 Every subtree dies or certifies at bounded depth because g is separable;
 the hard cap below is generous, and hitting it raises instead of guessing.
 
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .arith import _int_valuation, legendre_symbol
 from .family import INF_PLACE, HomogeneousSpace
@@ -74,11 +83,10 @@ def local_class(x: int, place) -> int:
     if place < 2:
         raise ValueError(f"not a prime: {place}")
     v = _int_valuation(x, place)
-    u = x // place**v
     if place == 2:
-        u &= 7
+        u = x >> v & 7
         return v & 1 | (u & 3 == 3) << 1 | (u in (3, 5)) << 2
-    return v & 1 | (legendre_symbol(u, place) == -1) << 1
+    return v & 1 | (legendre_symbol(x // place**v, place) == -1) << 1
 
 
 def class_label(x: int, place) -> str:
@@ -118,25 +126,26 @@ def real_solvable(space: HomogeneousSpace) -> LocalVerdict:
     return LocalVerdict(INF_PLACE, d, False, None, 0)
 
 
-def _strip_content(coeffs: list[int], l: int) -> tuple[list[int], int]:
-    """Divide out the largest power of l dividing every coefficient; return it too."""
-    content = min(_int_valuation(c, l) for c in coeffs if c != 0)
-    scale_down = l**content
-    return [c // scale_down for c in coeffs], content
-
-
 def _taylor_shift_scale(coeffs: list[int], s: int, m: int) -> list[int]:
-    """Coefficients (ascending) of P(s + m*y) given those of P."""
-    c = list(coeffs)
-    n = len(c)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            c[j] += s * c[j + 1]
-    power = 1
-    for j in range(1, n):
-        power *= m
-        c[j] *= power
-    return c
+    """Coefficients (ascending) of P(s + m*y) given those of the quartic P.
+
+    Four rounds of synthetic division by y - s leave the Taylor coefficients
+    at s; the j-th is then scaled by m^j.
+    """
+    c0, c1, c2, c3, c4 = coeffs
+    if s:
+        c3 += s * c4
+        c2 += s * c3
+        c1 += s * c2
+        c0 += s * c1
+        c3 += s * c4
+        c2 += s * c3
+        c1 += s * c2
+        c3 += s * c4
+        c2 += s * c3
+        c3 += s * c4
+    m2 = m * m
+    return [c0, c1 * m, c2 * m2, c3 * m2 * m, c4 * m2 * m2]
 
 
 def padic_solvable(space: HomogeneousSpace, l: int) -> LocalVerdict:
@@ -147,17 +156,22 @@ def padic_solvable(space: HomogeneousSpace, l: int) -> LocalVerdict:
     if l < 2:
         raise ValueError(f"not a prime: {l}")
     d, disc = space.d, space.disc()
-    # _int_valuation never returns on 0
     if d == 0 or disc == 0:
         raise ValueError(f"degenerate quartic, d = 0 or disc = 0: {space}")
-    cap = _int_valuation(disc, l) + _int_valuation(4 * space.u4 * d, l) + _DEPTH_MARGIN
+    # d*g = c0 + c2*z^2 + c4*z^4, where disc != 0 makes c0 and c4 nonzero
+    c0, c2, c4 = d * space.u0, d * space.u2, d * space.u4
+    v0, v4 = _int_valuation(c0, l), _int_valuation(c4, l)
+    v2 = _int_valuation(c2, l) if c2 else max(v0, v4)  # c2 = 0 never sets the content
+    # v(disc) + v(4*u4*d), where 4*u4*d = 4*c4
+    cap = _int_valuation(disc, l) + v4 + (2 if l == 2 else 0) + _DEPTH_MARGIN
     m = 8 if l == 2 else l  # a unit's square class is fixed mod m
     max_depth = 0
 
     def descend(patch, coeffs, val, k, base, scale):
         """Decide d*g = l^val * P(y) for y in Z_l; coordinate = base + scale*y."""
         nonlocal max_depth
-        max_depth = max(max_depth, k + 1)
+        if k >= max_depth:
+            max_depth = k + 1
         if k >= cap:
             raise OracleUndecidedError(f"depth cap {cap} exceeded at l={l} on {space}")
         cmod = [c % l for c in coeffs]
@@ -188,7 +202,7 @@ def padic_solvable(space: HomogeneousSpace, l: int) -> LocalVerdict:
                         "valuation": val,
                     }
                 continue
-            shifted = _taylor_shift_scale(coeffs, s, 1)  # P(s + y): P(s), then P'(s)
+            shifted = _taylor_shift_scale(coeffs, s, l)  # P(s + l*y): P(s), then l*P'(s)
             exact, deriv = shifted[0], shifted[1]
             coord = base + scale * s
             if exact == 0:
@@ -196,26 +210,26 @@ def padic_solvable(space: HomogeneousSpace, l: int) -> LocalVerdict:
                 assert patch == 1 or coord != 0
                 z = Fraction(coord) if patch == 1 else Fraction(1, coord)
                 return _rational_witness(space, z, Fraction(0))
-            if deriv != 0 and _int_valuation(exact, l) > 2 * _int_valuation(deriv, l):
+            # Hensel: v(P(s)) > 2*v(P'(s)), and v(P'(s)) = v(l*P'(s)) - 1
+            if deriv != 0 and _int_valuation(exact, l) > 2 * _int_valuation(deriv, l) - 2:
                 return {"type": "hensel_root", "patch": patch, "residue": coord, "modulus": scale * l}
-            shifted, content = _strip_content([c * l**j for j, c in enumerate(shifted)], l)
-            w = descend(patch, shifted, val + content, k + 1, coord, scale * l)
+            content = _int_valuation(gcd(*shifted), l)
+            power = l**content
+            w = descend(patch, [c // power for c in shifted], val + content, k + 1, coord, scale * l)
             if w is not None:
                 return w
         return None
 
-    # d*g in z (patch 1) and, reversed, in t = 1/z with t = l*y (patch 2)
-    patches = (
-        (1, 0, [d * space.u0, 0, d * space.u2, 0, d * space.u4]),
-        (2, 1, [d * space.u4, 0, d * space.u2, 0, d * space.u0]),
-    )
-    witness = None
-    for patch, start_k, coeffs in patches:
-        scale = l**start_k
-        coeffs, content = _strip_content(_taylor_shift_scale(coeffs, 0, scale), l)
-        witness = descend(patch, coeffs, content, start_k, 0, scale)
-        if witness is not None:
-            break
+    # patch 1: d*g in z, with its content l^min(v0, v2, v4)
+    content = min(v0, v2, v4)
+    power = l**content
+    witness = descend(1, [c0 // power, 0, c2 // power, 0, c4 // power], content, 0, 0, 1)
+    if witness is None:
+        # patch 2: d*g reversed in t = 1/z with t = l*y, c4 + c2*l^2*y^2 + c0*l^4*y^4
+        content = min(v4, v2 + 2, v0 + 4)
+        power = l**content
+        l2 = l * l
+        witness = descend(2, [c4 // power, 0, c2 * l2 // power, 0, c0 * l2 * l2 // power], content, 1, 0, l)
     return LocalVerdict(l, d, witness is not None, witness, max_depth)
 
 

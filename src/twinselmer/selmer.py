@@ -56,13 +56,25 @@ from .family import (
 from .localsolve import LocalVerdict, local_class, local_verdict
 
 
-def _image(columns, bits: int) -> int:
-    """Local class of the square class with these bits, given each generator's class."""
-    c = 0
+def _images(columns, survivors) -> list[int]:
+    """Local class of each square class in survivors (exponent bits), given each generator's class.
+
+    Bit b of an image is the parity of the survivor's generators whose class
+    has bit b set; a local class has at most 3 bits.
+    """
+    mask0 = mask1 = mask2 = 0
     for j, col in enumerate(columns):
-        if (bits >> j) & 1:
-            c ^= col
-    return c
+        bit = 1 << j
+        if col & 1:
+            mask0 |= bit
+        if col & 2:
+            mask1 |= bit
+        if col & 4:
+            mask2 |= bit
+    return [
+        (x & mask0).bit_count() & 1 | ((x & mask1).bit_count() & 1) << 1 | ((x & mask2).bit_count() & 1) << 2
+        for x in survivors
+    ]
 
 
 def _span(rows) -> list[int]:
@@ -179,7 +191,7 @@ def compute_selmer(params: FamilyParams, kind: str) -> SelmerGroup:
         for g, col in zip(params.basis(), columns):
             if col not in reps:
                 reps.update({c ^ col: d * g for c, d in reps.items()})
-        images = [_image(columns, x) for x in survivors]
+        images = _images(columns, survivors)
         reached = sorted(_span(_echelon(images).values()))
         solvable = {c for c in reached if group._decide(place, c).solvable}
         assert 0 in solvable and all(

@@ -3,20 +3,31 @@
 The same two-patch search as the package oracle, as it stood before the
 node rule: every node scans all l residues, a unit's square class is read
 from a table of the squares mod l (mod 8 at l = 2) built on every call, and
-the l = 2 mod-8 refinement is its own branch.  It imports nothing of the
-search it checks, so tests can require the two to agree exactly: the
-verdict, the witness and the search depth.
+the l = 2 mod-8 refinement is its own branch.  Each patch is set up by the
+generic Taylor shift and a content strip, and valuations are taken by
+division, not by the lowest-bit rule.  It imports nothing of the search it
+checks, so tests can require the two to agree exactly: the verdict, the
+witness and the search depth.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from twinselmer.arith import _int_valuation
 from twinselmer.family import HomogeneousSpace
 from twinselmer.localsolve import LocalVerdict, OracleUndecidedError
 
 _DEPTH_MARGIN = 8
+
+
+def _int_valuation(m: int, l: int) -> int:
+    """Exponent of the prime l in the nonzero integer m, by repeated division."""
+    m = abs(m)
+    v = 0
+    while m % l == 0:
+        m //= l
+        v += 1
+    return v
 
 
 def _rational_witness(space: HomogeneousSpace, z: Fraction, w: Fraction) -> dict:

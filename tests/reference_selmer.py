@@ -5,7 +5,8 @@ takes a GF(2) kernel.  This engine assumes neither fact: it tests every
 class at every bad place, in place order, and checks that the members form
 a group.  Tests require both engines to give the same group.
 class_representatives finds the d each local class is decided on by the
-same scan, with no kernel.
+same scan, with no kernel, and image sums a class's local class generator
+by generator, the reference for the bit-sliced selmer._images.
 """
 
 from __future__ import annotations
@@ -45,3 +46,12 @@ def class_representatives(params, place) -> dict[int, int]:
     for d in enumerate_square_classes(params):
         reps.setdefault(local_class(d, place), d)
     return reps
+
+
+def image(columns, bits: int) -> int:
+    """Local class of the square class with these exponent bits, given each generator's class."""
+    c = 0
+    for j, col in enumerate(columns):
+        if (bits >> j) & 1:
+            c ^= col
+    return c

@@ -3,8 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinselmer import arith
+
+from reference_digit_search import _int_valuation as division_valuation
 
 
 def squares_mod(l):
@@ -70,6 +74,26 @@ def test_euler_criterion():
 def test_legendre_rejects_bad_modulus():
     with pytest.raises(ValueError):
         arith.legendre_symbol(3, 4)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_valuation_of_zero_raises(l):
+    with pytest.raises(ValueError):
+        arith._int_valuation(0, l)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(-(2**200), 2**200).filter(bool) | st.integers(-64, 64).filter(bool))
+def test_two_adic_valuation_is_the_division_loop(m):
+    # the lowest-bit rule at l = 2, on either sign and far beyond a machine word
+    assert arith._int_valuation(m, 2) == division_valuation(m, 2)
+    assert arith._int_valuation(m << 37, 2) == division_valuation(m, 2) + 37
+
+
+def test_odd_valuation_examples():
+    assert arith._int_valuation(-3**7 * 10, 3) == 7
+    assert arith._int_valuation(5**40 * 7, 5) == 40
+    assert arith._int_valuation(11, 7) == 0
 
 
 def test_is_twin_pair():

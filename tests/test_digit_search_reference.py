@@ -75,3 +75,23 @@ def test_even_quartics_match(d, u4, u2, u0, l):
     if space.disc() != 0:
         _assert_same(space, l)
 
+
+_UNIT = st.integers(-40, 40).filter(bool)
+_POWER = st.integers(0, 8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.tuples(_UNIT, _POWER),
+    st.tuples(_UNIT, _POWER),
+    st.one_of(st.just((0, 0)), st.tuples(_UNIT, _POWER)),
+    st.tuples(_UNIT, _POWER),
+)
+def test_even_quartics_match_at_depth(l, d, u4, u2, u0):
+    # each coefficient and d carry up to l^8, so both patch contents and the
+    # re-centred contents run deep; u2 = 0 leaves the content to u0 and u4
+    d, u4, u2, u0 = (x * l**k for x, k in (d, u4, u2, u0))
+    space = HomogeneousSpace(PHI, d, u4, u2, u0)
+    if space.disc() != 0:
+        _assert_same(space, l)

@@ -14,7 +14,7 @@ from twinselmer.localsolve import LocalVerdict, OracleUndecidedError, local_clas
 from twinselmer.selmer import compute_selmer, gf2_rref, to_jsonable
 
 from helpers import random_instances
-from reference_selmer import check_group_closure, class_representatives, enumerate_selmer
+from reference_selmer import check_group_closure, class_representatives, enumerate_selmer, image
 
 
 def test_golden_phi_d61():
@@ -174,6 +174,40 @@ def test_oracle_calls_per_group(monkeypatch):
             group = compute_selmer(params, kind)
             assert len(calls) <= 2 + 8 + 4 * (n + 2)
             assert group.order == 1 << group.dim2
+
+
+def test_build_space_seam_sees_every_oracle_call(monkeypatch):
+    # the bench tracer wraps selmer.build_space to time the family layer; it
+    # must see one call per oracle call, or that layer would read 0
+    spaces, verdicts = [], []
+
+    def building(params, d, kind):
+        spaces.append(d)
+        return build_space(params, d, kind)
+
+    def counting(space, place):
+        verdicts.append(space.d)
+        return local_verdict(space, place)
+
+    monkeypatch.setattr(selmer, "build_space", building)
+    monkeypatch.setattr(selmer, "local_verdict", counting)
+    for params in (validate_params(1, 5, 7, [11, 13, 17, 19]), validate_params(-1, 3, 5, [1009])):
+        for kind in (ts.PHI, ts.PHI_HAT):
+            compute_selmer.cache_clear()
+            spaces.clear()
+            verdicts.clear()
+            compute_selmer(params, kind)
+            assert verdicts and spaces == verdicts
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_bit_sliced_images_match_the_reference(data):
+    # a local class has at most 3 bits (l = 2); survivors are exponent bits on n + 4 generators
+    n = data.draw(st.integers(1, 124), label="generators")
+    columns = data.draw(st.lists(st.integers(0, 7), min_size=n, max_size=n), label="columns")
+    survivors = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n), label="survivors")
+    assert selmer._images(columns, survivors) == [image(columns, x) for x in survivors]
 
 
 def test_failures_are_not_memoised(monkeypatch):
