@@ -126,11 +126,7 @@ def class_of_integer(params: FamilyParams, m: int) -> int:
     if m == 0:
         raise ValueError("0 has no square class")
     basis = params.basis()
-    bits = 0
-    rest = m
-    if rest < 0:
-        bits |= 1
-        rest = -rest
+    bits, rest = (1, -m) if m < 0 else (0, m)
     for j, b in enumerate(basis[1:], start=1):
         if rest % b == 0:
             bits |= 1 << j
@@ -166,15 +162,17 @@ class HomogeneousSpace:
 
 
 def build_space(params: FamilyParams, d: int, kind: str) -> HomogeneousSpace:
-    """Descent quartic of the class d: C_d for PHI, C'_d for PHI_HAT."""
+    """Descent quartic of the class d: C_d for PHI, C'_d for PHI_HAT.
+
+    Separable for every d != 0, so nothing here computes disc(): u4*u0 != 0,
+    and as q = p + 2, 4*u4*u0 - u2^2 is -16*p*q*D^2*d^2 on C_d and -4*D^2*d^2
+    on C'_d.  The oracle's own disc() check still rejects any other quartic.
+    """
     check_kind(kind)
     if d == 0:
         raise ValueError("d must be nonzero")
     D = params.D
     s = params.epsilon * (params.p + params.q) * D * d
     if kind == PHI:
-        space = HomogeneousSpace(kind, d, 4 * D * D, -2 * s, d * d)
-    else:
-        space = HomogeneousSpace(kind, d, params.p * params.q * D * D, s, d * d)
-    assert space.disc() != 0, "descent quartic must be separable"
-    return space
+        return HomogeneousSpace(kind, d, 4 * D * D, -2 * s, d * d)
+    return HomogeneousSpace(kind, d, params.p * params.q * D * D, s, d * d)

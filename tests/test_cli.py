@@ -209,6 +209,17 @@ def test_verify_pass_and_strictness(capsys):
     assert code == cli.EXIT_FAILURE
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_exits_one_on_a_failing_claim(capsys, monkeypatch, fmt):
+    # a failing claim is reported as fail and never exits 0, strict or not
+    monkeypatch.setattr(cli, "verify_theorem", failing_verify)
+    argv = ("verify", "--theorem", "1.2B", "--epsilon", "+1", "--p", "3", "--q", "5",
+            "--D", "61", "--format", fmt)
+    for strict in ((), ("--strict",)):
+        code, out, _ = run_cli(capsys, *argv, *strict)
+        assert code == cli.EXIT_FAILURE and "fail" in out and "pass" not in out, (fmt, strict)
+
+
 def test_verify_theorem_example_size_16(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--theorem", "1.4ex", "--epsilon", "+1",
@@ -520,15 +531,18 @@ def test_config_values_pass_flag_checks(capsys, tmp_path):
         ("epsilon=2", "epsilon must be +1 or -1"),
         ("p=three", "p: invalid literal"),
         ("elements=maybe", "elements: expected a boolean"),
+        ("D=7,x", "D: expected comma-separated integers"),
+        ("D 61", "expected key=value"),
     ):
         cfg.write_text(line + "\n")
         code, out, err = run_cli(capsys, *base, "--config", str(cfg))
         assert code == cli.EXIT_USAGE and out == "", line
         assert f"{cfg}:1:" in err and message in err, (line, err)
     # the same value as a flag is refused by argparse with the same status
-    with pytest.raises(SystemExit) as caught:
-        cli.main([*base, "--format", "xml"])
-    assert caught.value.code == cli.EXIT_USAGE
+    for flag in (("--format", "xml"), ("--D", "7,x")):
+        with pytest.raises(SystemExit) as caught:
+            cli.main([*base, *flag])
+        assert caught.value.code == cli.EXIT_USAGE
 
 
 def _dispatch_grid(cfg):

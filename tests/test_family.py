@@ -173,6 +173,29 @@ def test_build_space_structure():
             assert c_space.u4 == 4 * D * D
             assert cp_space.u4 == params.p * params.q * D * D
             assert c_space.disc() != 0 and cp_space.disc() != 0
+        for kind in (PHI, PHI_HAT):
+            with pytest.raises(ValueError, match="d must be nonzero"):
+                build_space(params, 0, kind)
+
+
+def _separability_forms(params, d):
+    """4*u4*u0 - u2^2 of C_d and of C'_d, the closed forms build_space's docstring states."""
+    p, q, D = params.p, params.q, params.D
+    return {PHI: -16 * p * q * D * D * d * d, PHI_HAT: -4 * D * D * d * d}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_params_and_bits())
+def test_descent_quartics_are_separable_in_closed_form(case):
+    # build_space computes no discriminant: every class's quartic is
+    # separable because u4*u0 != 0 and 4*u4*u0 - u2^2 has these closed forms
+    params = case[0]
+    for d in enumerate_square_classes(params):
+        for kind, form in _separability_forms(params, d).items():
+            space = build_space(params, d, kind)
+            assert space.u4 * space.u0 != 0
+            assert 4 * space.u4 * space.u0 - space.u2 ** 2 == form != 0, (params, d, kind)
+            assert space.disc() == 16 * space.u4 * space.u0 * form ** 2
 
 
 def test_build_space_accepts_kind_aliases():

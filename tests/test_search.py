@@ -136,6 +136,9 @@ def test_demonstrate_rejects_bad_target():
     for target in (-1, 4.5, True):
         with pytest.raises(ValueError):
             demonstrate_large_selmer(1, ts.PHI_HAT, target)
+    for eps, kind in ((2, ts.PHI_HAT), (1, "C")):
+        with pytest.raises(ValueError, match="unsupported"):
+            demonstrate_large_selmer(eps, kind, 4)
     for budget in ("5", True, math.nan, 1j):
         notes = []
         with pytest.raises(ValueError, match="time_budget"):

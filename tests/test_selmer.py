@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import twinselmer as ts
 from twinselmer import selmer
-from twinselmer.family import build_space, validate_params
+from twinselmer.family import HomogeneousSpace, build_space, validate_params
 from twinselmer.localsolve import LocalVerdict, OracleUndecidedError, local_class, local_verdict
 from twinselmer.selmer import compute_selmer, gf2_rref, to_jsonable
 
@@ -89,6 +89,7 @@ def test_verdict_table_records_membership_and_failures():
                         break
                 assert (d in members) == (failed is None), (d, failed)
                 assert group.contains_value(d) == (d in members)
+            assert not group.contains_value(10007)  # a prime off the basis has no class on it
             # the full local images keep every entry the kernel decided
             images = group.local_images()
             assert all(images[key] is verdict for key, verdict in table.items())
@@ -198,6 +199,28 @@ def test_build_space_seam_sees_every_oracle_call(monkeypatch):
             verdicts.clear()
             compute_selmer(params, kind)
             assert verdicts and spaces == verdicts
+
+
+def test_one_discriminant_per_oracle_call(monkeypatch):
+    # build_space relies on the family's closed forms and computes no
+    # discriminant; the oracle's own separability check is the only one
+    discs, verdicts = [], []
+    disc = HomogeneousSpace.disc
+
+    def counting_disc(space):
+        discs.append(space.d)
+        return disc(space)
+
+    def counting(space, place):
+        verdicts.append(space.d)
+        return local_verdict(space, place)
+
+    monkeypatch.setattr(HomogeneousSpace, "disc", counting_disc)
+    monkeypatch.setattr(selmer, "local_verdict", counting)
+    for params in random_instances(seed=31, count=10, prime_bound=300, max_n=3):
+        for kind in (ts.PHI, ts.PHI_HAT):
+            compute_selmer(params, kind)
+    assert verdicts and discs == verdicts
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
