@@ -33,7 +33,7 @@ from .localsolve import (
     padic_solvable,
     real_solvable,
 )
-from .search import ConstraintSet, demonstrate_large_selmer, find_family
+from .search import demonstrate_large_selmer, find_family
 from .selmer import (
     SelmerGroup,
     compute_selmer,
@@ -41,6 +41,7 @@ from .selmer import (
 )
 from .theorems import (
     THEOREM_IDS,
+    ConstraintSet,
     TheoremReport,
     alpha_minus_pq,
     beta_minus_D,

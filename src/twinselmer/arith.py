@@ -61,11 +61,17 @@ def legendre_symbol(a: int, l: int) -> int:
     """Legendre symbol of a modulo the odd prime l, in {-1, 0, 1}.
 
     a is reduced mod l first, so negative and composite arguments are fine.
+    ValueError when l is not an odd prime: l < 3, l even, or Euler's
+    criterion a^((l - 1)/2) landing outside {0, 1, l - 1} (l composite).
     """
     if l < 3 or l % 2 == 0:
         raise ValueError(f"modulus must be an odd prime, got {l}")
     r = pow(a % l, (l - 1) // 2, l)
-    return -1 if r == l - 1 else r
+    if r == l - 1:
+        return -1
+    if r > 1:
+        raise ValueError(f"modulus must be an odd prime, got {l}")
+    return r
 
 
 def _int_valuation(m: int, l: int) -> int:

@@ -14,7 +14,9 @@ The membership rules that need more than the class value read the member
 predicates of theorems, the same ones its claims read: S:C:Di and S:C:-Di
 read _is_phi_witness, S:C:2 and S:C:-2 read _adjoined_two, S:C':Di reads
 _prime_curve_ok, S:C':-pq reads _alpha_condition, and S:C':-D and S:C':D
-read _minus_eps_d_member.
+read _minus_eps_d_member.  The C' rules at the D places (C':Di:self,
+C':Di:cross, C':-pq:qr, C':D:qr) read _either_square, one term of pi_prime,
+alpha_minus_pq or beta_minus_D.
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ from .theorems import (
     _adjoined_two,
     _alpha_condition,
     _d_two_adic,
+    _either_square,
     _is_phi_witness,
     _minus_eps_d_member,
     _minus_pq_two_adic,
     _prime_curve_ok,
     _two_adic_unit_case,
-    alpha_minus_pq,  # re-exported: part of the criteria API
-    beta_minus_D,  # re-exported: part of the criteria API
 )
 
 
@@ -132,39 +133,23 @@ def _local_cprime(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
         if place in (p, q):
             return _rule(True, "C':Di:pq")
         if place == Di:
-            ok = (
-                legendre_symbol(-eps * p * dh, Di) == 1
-                or legendre_symbol(-eps * q * dh, Di) == 1
-            )
-            return _rule(ok, "C':Di:self")
+            return _rule(_either_square(-eps * p * dh, -eps * q * dh, Di), "C':Di:self")
         if place in Ds:
-            ok = (
-                legendre_symbol(Di, place) == 1
-                or legendre_symbol(p * q * Di, place) == 1
-            )
-            return _rule(ok, "C':Di:cross")
+            return _rule(_either_square(Di, p * q * Di, place), "C':Di:cross")
     if eps == 1 and dv == -p * q:
         if place == 2:
             return _rule(_minus_pq_two_adic(p, D), "C':-pq:mod8")
         if place in (p, q):
             return _rule(True, "C':-pq:pq")
         if place in Ds:
-            ok = (
-                legendre_symbol(-1, place) == 1
-                or legendre_symbol(-p * q, place) == 1
-            )
-            return _rule(ok, "C':-pq:qr")
+            return _rule(_either_square(-1, -p * q, place), "C':-pq:qr")
     if eps == -1 and dv == D and params.n >= 2:
         if place == 2:
             return _rule(_d_two_adic(p, D), "C':D:mod8")
         if place in (p, q):
             return _rule(True, "C':D:pq")
         if place in Ds:
-            ok = (
-                legendre_symbol(p, place) == 1
-                or legendre_symbol(q, place) == 1
-            )
-            return _rule(ok, "C':D:qr")
+            return _rule(_either_square(p, q, place), "C':D:qr")
     return _NA
 
 

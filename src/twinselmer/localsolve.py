@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import _int_valuation, legendre_symbol
+from .arith import _int_valuation, is_prime, legendre_symbol
 from .family import INF_PLACE, HomogeneousSpace
 
 _DEPTH_MARGIN = 8
@@ -151,9 +151,9 @@ def _taylor_shift_scale(coeffs: list[int], s: int, m: int) -> list[int]:
 def padic_solvable(space: HomogeneousSpace, l: int) -> LocalVerdict:
     """Decide existence of Q_l-points on d*w^2 = g(z) by two-patch digit search.
 
-    ValueError when d = 0 or g is not separable (disc = 0).
+    ValueError when l is not prime, d = 0 or g is not separable (disc = 0).
     """
-    if l < 2:
+    if not is_prime(l):
         raise ValueError(f"not a prime: {l}")
     d, disc = space.d, space.disc()
     if d == 0 or disc == 0:

@@ -26,7 +26,6 @@ from .family import PHI, PHI_HAT, FamilyParams, _is_int, validate_params
 from .selmer import compute_selmer  # noqa: F401  (kept importable; the bench tracer wraps it)
 from .theorems import (
     CONSTRAINTS,
-    ConstraintSet,  # re-exported: part of the search API
     TheoremReport,
     verify_theorem,
 )

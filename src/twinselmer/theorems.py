@@ -25,7 +25,9 @@ phi; the witnesses of 1.1 and 1.6, counted by rho_plus and rho_minus),
 _adjoined_two (2 or -2 in phi; the adjoined branches of 1.1 and 1.6),
 _prime_curve_ok (D_i in phi_hat; prime_curve_indices, rho_prime and the
 hypotheses of 1.4 and 1.9), _alpha_condition (-pq in phi_hat; the exact-top
-branch of 1.4) and _minus_eps_d_member (-eps*D in phi_hat).
+branch of 1.4) and _minus_eps_d_member (-eps*D in phi_hat).  Each term of
+pi_prime, alpha_minus_pq and beta_minus_D, and each C' rule of criteria at
+the D places, is one _either_square: C'_d at one D place.
 """
 
 from __future__ import annotations
@@ -106,40 +108,31 @@ def _adjoined_two(params: FamilyParams) -> int | None:
     return None
 
 
-def pi_prime(params: FamilyParams, i: int) -> int:
-    """Paired nonresidue score of D_i for the dual descent direction.
+def _either_square(a: int, b: int, l: int) -> bool:
+    """(a | l) = 1 or (b | l) = 1: the quartic C'_d of the phi_hat descent at a D place l."""
+    return legendre_symbol(a, l) == 1 or legendre_symbol(b, l) == 1
 
-    The family's epsilon sets the signs inside the self-place product.
+
+def pi_prime(params: FamilyParams, i: int) -> int:
+    """Paired nonresidue score of D_i for the dual descent: 4 per D place where C'_{D_i} fails.
+
+    At D_i the family's epsilon sets the signs; at each other D_j the pair is D_i and pq*D_i.
     """
-    Di = params.d_primes[i - 1]
-    dh = params.dhat(i)
-    first = (1 - legendre_symbol(-params.epsilon * params.p * dh, Di)) * (
-        1 - legendre_symbol(-params.epsilon * params.q * dh, Di)
-    )
+    Di, dh, s = params.d_primes[i - 1], params.dhat(i), -params.epsilon
     pq = params.p * params.q
-    rest = sum(
-        (1 - legendre_symbol(Di, Dj)) * (1 - legendre_symbol(pq * Di, Dj))
-        for j, Dj in enumerate(params.d_primes, 1)
-        if j != i
-    )
-    return first + rest
+    fails = not _either_square(s * params.p * dh, s * params.q * dh, Di)
+    fails += sum(not _either_square(Di, pq * Di, Dj) for Dj in params.d_primes if Dj != Di)
+    return 4 * fails
 
 
 def alpha_minus_pq(params: FamilyParams) -> int:
-    """Sum of (1 - (-1|D_i)) * (1 - (-pq|D_i)) over the D primes."""
-    pq = params.p * params.q
-    return sum(
-        (1 - legendre_symbol(-1, Di)) * (1 - legendre_symbol(-pq, Di))
-        for Di in params.d_primes
-    )
+    """4 for each D_i at which both -1 and -pq are nonresidues."""
+    return 4 * sum(not _either_square(-1, -params.p * params.q, Di) for Di in params.d_primes)
 
 
 def beta_minus_D(params: FamilyParams) -> int:
-    """Sum of (1 - (p|D_i)) * (1 - (q|D_i)) over the D primes."""
-    return sum(
-        (1 - legendre_symbol(params.p, Di)) * (1 - legendre_symbol(params.q, Di))
-        for Di in params.d_primes
-    )
+    """4 for each D_i at which both p and q are nonresidues."""
+    return 4 * sum(not _either_square(params.p, params.q, Di) for Di in params.d_primes)
 
 
 def _two_adic_unit_case(Di: int, p: int, q: int, eps: int, dh: int) -> bool:

@@ -68,20 +68,20 @@ def torsion_pairs(params: FamilyParams) -> list[tuple[int, int]]:
     return [(A * B, A), (-A, A * (A - B)), (-B, A - B)]
 
 
+def multiplicative_places(params: FamilyParams, symbol: int) -> list[int]:
+    """p when (-B | p) = symbol and q when (-A | q) = symbol; E has multiplicative reduction at both."""
+    A, B = _a_b(params)
+    return [l for l, c in ((params.p, -B), (params.q, -A)) if legendre(c, l) == symbol]
+
+
 def torsion_filled_places(params: FamilyParams) -> list:
     """Places where the torsion pairs span the whole local image.
 
     Infinity and every D_i, where E has additive reduction with E[2]
     rational; p when (-B | p) = -1 and q when (-A | q) = -1, where the
-    reduction is multiplicative.
+    reduction is multiplicative.  At p and q with symbol +1 they do not.
     """
-    A, B = _a_b(params)
-    places = [INF_PLACE, *params.d_primes]
-    if legendre(-B, params.p) == -1:
-        places.append(params.p)
-    if legendre(-A, params.q) == -1:
-        places.append(params.q)
-    return places
+    return [INF_PLACE, *params.d_primes, *multiplicative_places(params, -1)]
 
 
 def torsion_span(pairs, place) -> set[int]:

@@ -5,8 +5,9 @@ takes a GF(2) kernel.  This engine assumes neither fact: it tests every
 class at every bad place, in place order, and checks that the members form
 a group.  Tests require both engines to give the same group.
 class_representatives finds the d each local class is decided on by the
-same scan, with no kernel, and image sums a class's local class generator
-by generator, the reference for the bit-sliced selmer._images.
+same scan, stopped once every local class has one, with no kernel, and
+image sums a class's local class generator by generator, the reference for
+the bit-sliced selmer._images.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from twinselmer.family import build_space, class_of_integer, enumerate_square_classes
 from twinselmer.localsolve import local_class, local_verdict
 from twinselmer.selmer import gf2_rref
+
+from reference_images import local_order
 
 
 def check_group_closure(params, values) -> bool:
@@ -43,8 +46,11 @@ def class_representatives(params, place) -> dict[int, int]:
     the same class lowers the bits.
     """
     reps = {}
-    for d in enumerate_square_classes(params):
+    for bits in range(1 << (params.n + 4)):
+        d = params.value(bits)
         reps.setdefault(local_class(d, place), d)
+        if len(reps) == local_order(place):
+            break  # every class of Q_v*/Q_v*^2 has its first d
     return reps
 
 

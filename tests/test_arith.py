@@ -74,6 +74,10 @@ def test_euler_criterion():
 def test_legendre_rejects_bad_modulus():
     with pytest.raises(ValueError):
         arith.legendre_symbol(3, 4)
+    # odd composites whose Euler value 2^4 = 7 mod 9 and 5^7 = 5 mod 15 is no symbol
+    for a, l in ((2, 9), (5, 15)):
+        with pytest.raises(ValueError, match="odd prime"):
+            arith.legendre_symbol(a, l)
 
 
 @pytest.mark.parametrize("l", [2, 3])

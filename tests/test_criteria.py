@@ -4,17 +4,20 @@ import dataclasses
 
 import twinselmer as ts
 from twinselmer import criteria, family, selmer
-from twinselmer.criteria import (
-    alpha_minus_pq,
-    audit_params,
-    beta_minus_D,
-    closed_form_local,
-    membership_closed_form,
-)
+from twinselmer.criteria import audit_params, closed_form_local, membership_closed_form
 from twinselmer.family import FamilyParams, validate_params
 from twinselmer.localsolve import local_verdict
-from twinselmer.theorems import _d_two_adic, _minus_pq_two_adic, _two_adic_unit_case, pi_plus
+from twinselmer.theorems import (
+    _d_two_adic,
+    _minus_pq_two_adic,
+    _two_adic_unit_case,
+    alpha_minus_pq,
+    beta_minus_D,
+    pi_plus,
+    pi_prime,
+)
 
+import reference_symbol_terms as reference
 from helpers import random_instances
 from reference_audit import enumerating_audit
 from reference_selmer import class_representatives
@@ -33,6 +36,27 @@ def test_beta_examples():
     assert beta_minus_D(validate_params(1, 3, 5, [7])) == 4
     assert beta_minus_D(validate_params(1, 3, 5, [61])) == 0
     assert beta_minus_D(validate_params(1, 3, 5, [11])) == 0  # (3|11) = 1
+
+
+def test_symbol_terms_match_their_formulas():
+    # pi_prime, alpha, beta and the C' rules at the D places share one term;
+    # each must equal its own formula, rule ids included
+    instances = random_instances(seed=3232, count=300, prime_bound=2000, max_n=6)
+    fired = set()
+    for params in instances:
+        for i in range(1, params.n + 1):
+            assert pi_prime(params, i) == reference.pi_prime(params, i), (params, i)
+        assert alpha_minus_pq(params) == reference.alpha_minus_pq(params), params
+        assert beta_minus_D(params) == reference.beta_minus_D(params), params
+        values = criteria._rule_values(params)
+        for place in params.d_primes:
+            for dv in values.union(class_representatives(params, place).values()):
+                cf = closed_form_local(params, ts.PHI_HAT, dv, place)
+                want = reference.cprime_at_d_place(params, dv, place)
+                assert (cf.solvable, cf.rule_id) == want, (params, dv, place)
+                fired.add(want)
+    rules = ("C':Di:self", "C':Di:cross", "C':-pq:qr", "C':D:qr")
+    assert {(ok, rid) for ok in (True, False) for rid in rules} <= fired
 
 
 def test_closed_form_local_examples():

@@ -1,4 +1,4 @@
-"""Tooling: every function, class, method, module constant and class field in the package is used.
+"""Tooling: every definition in the package is used, and every import is read where it is imported.
 
 A definition counts as used when its name is read (as a name or an
 attribute) anywhere in src/twinselmer outside its own body, or when
@@ -8,6 +8,11 @@ name bound by an assignment directly in a module or class body; binding it
 Python and are exempt.  The check is by name, so two definitions sharing a
 name keep each other alive; it catches helpers that nothing calls any more
 and fields that nothing reads.
+
+An imported name must be read in the module that imports it, or sit on a
+`# noqa: F401` line (test_tracer_imports ties those to the bench tracer),
+so no module re-exports what another defines.  __init__, which exports,
+and `from __future__` imports are exempt.
 """
 
 import ast
@@ -82,3 +87,27 @@ def unused_definitions(package: Path = PACKAGE) -> list[str]:
 
 def test_every_definition_is_used():
     assert unused_definitions() == []
+
+
+def unread_imports(package: Path = PACKAGE) -> list[str]:
+    """module.name for every name a module imports and never reads, bar `# noqa: F401` lines."""
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines, tree = text.splitlines(), ast.parse(text)
+        reads = _reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if not reads[name] and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unread.append(f"{path.stem}.{name}")
+    return unread
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []

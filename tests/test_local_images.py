@@ -9,10 +9,11 @@ hold for them and are checked here on the oracle's verdicts:
   * |im_v(phi)| * |im_v(phi_hat)| = |Q_v*/Q_v*^2|: 2 at infinity, 8 at 2
     and 4 at an odd prime;
   * the 2-torsion alone fills the local image at infinity and at every D_i,
-    at p when (-B | p) = -1 and at q when (-A | q) = -1.
+    and at p and q exactly when (-B | p) = -1 and (-A | q) = -1.
 
-The first two need every class of Q_v*/Q_v*^2, so they are checked where
-the basis reaches all of them.  The third is read on the classes it reaches.
+The first two, and the "only when" half of the third, need every class of
+Q_v*/Q_v*^2, so they are checked where the basis reaches all of them.  The
+"when" half is read on the classes it reaches.
 """
 
 import math
@@ -28,6 +29,7 @@ from reference_images import (
     hilbert_symbol,
     images_from_span,
     local_order,
+    multiplicative_places,
     torsion_filled_places,
     torsion_pairs,
     torsion_span,
@@ -134,6 +136,21 @@ def test_torsion_fills_the_local_image():
         assert failures == [], (params, failures)
         checked += count
     assert checked > 500
+
+
+def test_torsion_falls_short_where_the_symbol_is_one():
+    # at p with (-B | p) = +1 and at q with (-A | q) = +1 the torsion spans
+    # less than the local image, so the images it reads miss the oracle's
+    short = checked = 0
+    for params in INSTANCES:
+        phi, phi_hat = _groups(params)
+        for place in multiplicative_places(params, 1):
+            if len(phi.representatives[place]) != local_order(place):
+                continue
+            checked += 1
+            images = images_from_span(torsion_span(torsion_pairs(params), place))
+            short += images != (_solvable(phi, place), _solvable(phi_hat, place))
+    assert short == checked > 150
 
 
 def test_torsion_check_catches_a_wrong_torsion_image():

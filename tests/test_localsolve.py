@@ -323,6 +323,11 @@ def test_padic_rejects_bad_prime():
     params = validate_params(1, 3, 5, [7])
     with pytest.raises(ValueError):
         padic_solvable(build_space(params, 2, PHI), 1)
+    # odd composites, 561 a Carmichael number: none is a place to answer for
+    space = build_space(validate_params(1, 3, 5, [61]), 61, PHI)
+    for l in (9, 15, 21, 561):
+        with pytest.raises(ValueError, match="not a prime"):
+            padic_solvable(space, l)
 
 
 # g = (z^2 + 1)^2 has disc = 0; d = 0 is no square class

@@ -1,4 +1,4 @@
-"""README examples: every command line exits 0, every flag and claim id is named, every commented library value holds."""
+"""README examples: every command line exits 0, every flag, claim id and output schema is named, every commented library value holds."""
 
 import ast
 import re
@@ -8,7 +8,8 @@ from pathlib import Path
 from twinselmer import cli
 from twinselmer.theorems import CONSTRAINTS, THEOREM_IDS
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _block(heading: str) -> list[str]:
@@ -80,3 +81,10 @@ def test_claim_catalog_has_one_row_per_id():
     assert sorted(ids) == sorted(THEOREM_IDS)  # each id once, and no other
     for tid, hypotheses in rows:
         assert (hypotheses.strip() == "`CONSTRAINTS`") == (tid in CONSTRAINTS), tid
+
+
+def test_readme_names_every_output_schema():
+    source = "".join(path.read_text(encoding="utf-8") for path in (ROOT / "src").rglob("*.py"))
+    schemas = set(re.findall(r"twinselmer/[a-z]+-v\d+", source))
+    assert {"twinselmer/selmer-v4", "twinselmer/verify-v1"} <= schemas
+    assert sorted(s for s in schemas | {cli.CSV_VERSION} if s not in README) == []
