@@ -11,9 +11,9 @@ from functools import cache, partial
 from .criteria import audit_params
 from .family import PHI, PHI_HAT, InvalidParamsError, validate_params
 from .localsolve import OracleUndecidedError
-from .search import CONSTRAINTS, ClaimFailedError, demonstrate_large_selmer, find_family
+from .search import ClaimFailedError, demonstrate_large_selmer, find_family
 from .selmer import compute_selmer, to_jsonable
-from .theorems import THEOREM_IDS, verify_theorem
+from .theorems import CONSTRAINTS, THEOREM_IDS, verify_theorem
 
 EXIT_OK = 0
 EXIT_FAILURE = 1

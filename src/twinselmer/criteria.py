@@ -10,13 +10,19 @@ is False) and defers to the generic oracle; the engine never guesses.
 Disagreements with the oracle are collected by audit_params, not
 auto-resolved.
 
+Each rule shape is stated once.  _local_c has one signed block for 2 and
+D_i, and for -2 and -D_i when epsilon = -1: mod 16 (+-2) or mod 4 (+-D_i)
+at 2, the self rule at D_i and (d | l) = 1 at every other odd bad place.
+_local_cprime has one named-class block for D_i, -pq and D: each branch
+sets a tag, a mod-8 condition at 2 and the pair (a, b) that _either_square
+(one term of pi_prime, alpha_minus_pq or beta_minus_D) reads at a D place,
+and one tail answers at 2, at p and q (always solvable) and at the D places.
+
 The membership rules that need more than the class value read the member
 predicates of theorems, the same ones its claims read: S:C:Di and S:C:-Di
 read _is_phi_witness, S:C:2 and S:C:-2 read _adjoined_two, S:C':Di reads
 _prime_curve_ok, S:C':-pq reads _alpha_condition, and S:C':-D and S:C':D
-read _minus_eps_d_member.  The C' rules at the D places (C':Di:self,
-C':Di:cross, C':-pq:qr, C':D:qr) read _either_square, one term of pi_prime,
-alpha_minus_pq or beta_minus_D.
+read _minus_eps_d_member.
 """
 
 from __future__ import annotations
@@ -71,7 +77,6 @@ def _rule_values(params: FamilyParams) -> set[int]:
 
 def _local_c(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
     eps, p, q, D = params.epsilon, params.p, params.q, params.D
-    Ds = params.d_primes
     if place == INF_PLACE:
         if eps == 1:
             return _rule(dv > 0, "C:real-sign")
@@ -82,33 +87,20 @@ def _local_c(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
         return _rule(False, "C:val-q")
     if eps == -1 and dv == -1 and place == 2:
         return _rule(False, "C:neg-unit:2")
-    odd_bad = (p, q) + Ds
-    if dv == 2:
-        if place == 2:
-            # one form for both signs: D(D + 2p + 2) differs by 4D(p + 1), 0 mod 16
-            # when p = 3 mod 4, and when p = 1 mod 4 neither is 1 mod 16
-            return _rule((D * (D - 2 * p - 2)) % 16 == 1, "C:2:mod16")
-        if place in odd_bad:
-            return _rule(legendre_symbol(2, place) == 1, "C:2:qr")
-    if eps == -1 and dv == -2:
-        if place == 2:
-            return _rule((D * (-D + 2 * p + 2)) % 16 == 3, "C:-2:mod16")
-        if place in odd_bad:
-            return _rule(legendre_symbol(-2, place) == 1, "C:-2:qr")
-    if dv in Ds or (eps == -1 and -dv in Ds):
-        # one rule in the signed value: D_i, or -D_i when eps = -1
-        Di = abs(dv)
-        s, dh = (eps if dv > 0 else -eps), D // Di
-        tag = "C:Di" if dv > 0 else "C:-Di"
+    v = abs(dv)
+    if (v == 2 or v in params.d_primes) and (dv > 0 or eps == -1):
+        tag = ("C:" if dv > 0 else "C:-") + ("2" if v == 2 else "Di")
+        if place == 2 and v == 2:
+            # -2 negates D(D - 2p - 2); 2 needs no eps: D(D + 2p + 2) differs by 4D(p + 1),
+            # 0 mod 16 when p = 3 mod 4, and when p = 1 mod 4 neither is 1 mod 16
+            return _rule((dv // 2) * D * (D - 2 * p - 2) % 16 == (1 if dv > 0 else 3), f"{tag}:mod16")
         if place == 2:
             return _rule(dv % 4 == 1, f"{tag}:mod4")
-        if place == Di:
-            ok = (
-                legendre_symbol(s * p * dh, Di) == 1
-                and legendre_symbol(s * q * dh, Di) == 1
-            )
+        if place == v:
+            s, dh = (eps if dv > 0 else -eps), D // v
+            ok = legendre_symbol(s * p * dh, v) == 1 and legendre_symbol(s * q * dh, v) == 1
             return _rule(ok, f"{tag}:self")
-        if place in odd_bad:
+        if place in (p, q) + params.d_primes:
             return _rule(legendre_symbol(dv, place) == 1, f"{tag}:qr")
     return _NA
 
@@ -126,30 +118,22 @@ def _local_cprime(params: FamilyParams, dv: int, place) -> ClosedFormVerdict:
         # visible rational point (z, w) = (1, 0) on the -eps*pD / -eps*qD
         # curves forces the whole four-element subgroup in at every place
         return _rule(True, "C':rational-point")
-    if dv in Ds:
-        Di, dh = dv, D // dv
-        if place == 2:
-            return _rule(_two_adic_unit_case(Di, p, q, eps, dh), "C':Di:mod8")
-        if place in (p, q):
-            return _rule(True, "C':Di:pq")
-        if place == Di:
-            return _rule(_either_square(-eps * p * dh, -eps * q * dh, Di), "C':Di:self")
-        if place in Ds:
-            return _rule(_either_square(Di, p * q * Di, place), "C':Di:cross")
-    if eps == 1 and dv == -p * q:
-        if place == 2:
-            return _rule(_minus_pq_two_adic(p, D), "C':-pq:mod8")
-        if place in (p, q):
-            return _rule(True, "C':-pq:pq")
-        if place in Ds:
-            return _rule(_either_square(-1, -p * q, place), "C':-pq:qr")
-    if eps == -1 and dv == D and params.n >= 2:
-        if place == 2:
-            return _rule(_d_two_adic(p, D), "C':D:mod8")
-        if place in (p, q):
-            return _rule(True, "C':D:pq")
-        if place in Ds:
-            return _rule(_either_square(p, q, place), "C':D:qr")
+    if dv in Ds:  # one block per named class; at_d names its rule at a D place
+        dh = D // dv
+        tag, at_two = "Di", _two_adic_unit_case(dv, p, q, eps, dh)
+        at_d, a, b = ("self", -eps * p * dh, -eps * q * dh) if place == dv else ("cross", dv, p * q * dv)
+    elif eps == 1 and dv == -p * q:
+        tag, at_two, (at_d, a, b) = "-pq", _minus_pq_two_adic(p, D), ("qr", -1, -p * q)
+    elif eps == -1 and dv == D and params.n >= 2:
+        tag, at_two, (at_d, a, b) = "D", _d_two_adic(p, D), ("qr", p, q)
+    else:
+        return _NA
+    if place == 2:
+        return _rule(at_two, f"C':{tag}:mod8")
+    if place in (p, q):
+        return _rule(True, f"C':{tag}:pq")
+    if place in Ds:
+        return _rule(_either_square(a, b, place), f"C':{tag}:{at_d}")
     return _NA
 
 
@@ -165,13 +149,11 @@ def _membership_with_rule(params: FamilyParams, kind: str, dv: int) -> ClosedFor
     if check_kind(kind) == PHI:
         if dv == 1:
             return _rule(True, "S:identity")
-        if eps == 1 and (dv < 0 or dv % p == 0 or dv % q == 0):
+        if dv % p == 0 or dv % q == 0 or dv == -1 or (eps == 1 and dv < 0):
             return _rule(False, "S:C:excluded")
-        if eps == -1 and (dv % p == 0 or dv % q == 0 or dv == -1):
-            return _rule(False, "S:C:excluded")
-        if dv == 2 or (eps == -1 and dv == -2):
+        if abs(dv) == 2:  # eps = +1 has excluded dv < 0 above
             return _rule(_adjoined_two(params) == dv, "S:C:2" if dv > 0 else "S:C:-2")
-        if abs(dv) in Ds:  # eps = +1 has excluded dv < 0 above
+        if abs(dv) in Ds:
             return _rule(_is_phi_witness(params, dv), "S:C:Di" if dv > 0 else "S:C:-Di")
         return _NA
     if dv in Ds:

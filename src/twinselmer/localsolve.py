@@ -41,12 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .arith import _int_valuation, is_prime, legendre_symbol
 from .family import INF_PLACE, HomogeneousSpace
 
 _DEPTH_MARGIN = 8
+_is_prime = lru_cache(maxsize=1024)(is_prime)  # the one check of a place l; places repeat
 
 
 class OracleUndecidedError(RuntimeError):
@@ -75,12 +77,13 @@ def local_class(x: int, place) -> int:
     At infinity the one bit is the sign.  At a prime l, bit 0 is the
     valuation's parity; bit 1 marks a unit part that is a non-residue (odd l)
     or 3 mod 4 (l = 2); bit 2 a unit part that is 3 or 5 mod 8 (l = 2 only).
+    ValueError when x = 0 or the place is neither infinity nor a prime.
     """
     if x == 0:
         raise ValueError("0 has no square class")
     if place == INF_PLACE:
         return int(x < 0)
-    if place < 2:
+    if not _is_prime(place):
         raise ValueError(f"not a prime: {place}")
     v = _int_valuation(x, place)
     if place == 2:
@@ -153,7 +156,7 @@ def padic_solvable(space: HomogeneousSpace, l: int) -> LocalVerdict:
 
     ValueError when l is not prime, d = 0 or g is not separable (disc = 0).
     """
-    if not is_prime(l):
+    if not _is_prime(l):
         raise ValueError(f"not a prime: {l}")
     d, disc = space.d, space.disc()
     if d == 0 or disc == 0:

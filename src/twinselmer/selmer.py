@@ -171,6 +171,8 @@ class SelmerGroup:
 
     def verdict_at(self, d: int, place) -> LocalVerdict:
         """The oracle verdict at place for any d on the basis: that of d's local class."""
+        if place not in self.representatives:
+            raise ValueError(f"not a bad place of {self.params.label()}: {place!r}")
         return self._decide(place, local_class(d, place))
 
     def local_images(self) -> dict:

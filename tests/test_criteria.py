@@ -17,6 +17,7 @@ from twinselmer.theorems import (
     pi_prime,
 )
 
+import reference_rules
 import reference_symbol_terms as reference
 from helpers import random_instances
 from reference_audit import enumerating_audit
@@ -57,6 +58,34 @@ def test_symbol_terms_match_their_formulas():
                 fired.add(want)
     rules = ("C':Di:self", "C':Di:cross", "C':-pq:qr", "C':D:qr")
     assert {(ok, rid) for ok in (True, False) for rid in rules} <= fired
+
+
+def test_rule_blocks_match_the_rules_per_class():
+    # one signed phi block and one named C' block must give each class's own
+    # rules, rule ids included: every class for n <= 3, else the rule values
+    # and one representative of each local class the basis reaches
+    fired = set()
+    for params in random_instances(seed=3333, count=300, prime_bound=2000, max_n=6):
+        places = params.places()
+        if params.n <= 3:
+            values = set(ts.enumerate_square_classes(params))
+        else:
+            values = criteria._rule_values(params).union(
+                *(class_representatives(params, place).values() for place in places))
+        for kind, local in ((ts.PHI, reference_rules.local_c), (ts.PHI_HAT, reference_rules.local_cprime)):
+            for dv in values:
+                want = reference_rules.membership_with_rule(params, kind, dv)
+                assert criteria._membership_with_rule(params, kind, dv) == want, (params, kind, dv)
+                fired.add((want.solvable, want.rule_id))
+                for place in places:
+                    want = local(params, dv, place)
+                    assert closed_form_local(params, kind, dv, place) == want, (params, kind, dv, place)
+                    fired.add((want.solvable, want.rule_id))
+    assert {rid for _, rid in fired} == set(LOCAL_RULES + MEMBERSHIP_RULES) | {""}
+    both_ways = [rid for rid in LOCAL_RULES + MEMBERSHIP_RULES
+                 if rid.startswith(("C:2", "C:-2", "C:Di", "C:-Di", "S:C:2", "S:C:-2", "S:C:Di", "S:C:-Di"))
+                 or rid.endswith(("mod8", "self", "cross", "qr"))]
+    assert {(ok, rid) for ok in (True, False) for rid in both_ways} <= fired
 
 
 def test_closed_form_local_examples():

@@ -12,7 +12,9 @@ and fields that nothing reads.
 An imported name must be read in the module that imports it, or sit on a
 `# noqa: F401` line (test_tracer_imports ties those to the bench tracer),
 so no module re-exports what another defines.  __init__, which exports,
-and `from __future__` imports are exempt.
+and `from __future__` imports are exempt.  Outside __init__, a name taken
+with `from .m import name` must be defined in m itself: a function, a class
+or a name bound by an assignment in m's module body.
 """
 
 import ast
@@ -111,3 +113,26 @@ def unread_imports(package: Path = PACKAGE) -> list[str]:
 
 def test_every_import_is_read():
     assert unread_imports() == []
+
+
+def misplaced_imports(package: Path = PACKAGE) -> list[str]:
+    """module.name for every `from .m import name` outside __init__ that m does not define."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    defined = {
+        module: {node.name for node in tree.body if isinstance(node, _DEFS)}
+        | {name for _, name, _ in _assignments(tree.body, module)}
+        for module, tree in trees.items()
+    }
+    misplaced = []
+    for module, tree in sorted(trees.items()):
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                misplaced += [f"{module}.{alias.name}" for alias in node.names
+                              if alias.name not in defined[node.module]]
+    return misplaced
+
+
+def test_every_import_comes_from_its_definition():
+    assert misplaced_imports() == []

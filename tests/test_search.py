@@ -9,8 +9,8 @@ import pytest
 import twinselmer as ts
 from twinselmer import search
 from twinselmer.arith import twin_pairs_up_to
-from twinselmer.search import CONSTRAINTS, ClaimFailedError, demonstrate_large_selmer, find_family
-from twinselmer.theorems import rho_plus, verify_theorem
+from twinselmer.search import ClaimFailedError, demonstrate_large_selmer, find_family
+from twinselmer.theorems import CONSTRAINTS, rho_plus, verify_theorem
 
 from helpers import SEARCH_HITS, failing_verify
 

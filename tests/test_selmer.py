@@ -126,6 +126,14 @@ def test_verdict_constant_on_local_classes():
                     assert local_verdict(space, place).solvable == want, (params, kind, d, place)
 
 
+def test_verdict_at_names_a_place_that_is_not_bad():
+    # 7 is a prime of good reduction for (+1, 3, 5, [61]); "Inf" is not the real place "inf"
+    group = compute_selmer(validate_params(1, 3, 5, [61]), ts.PHI)
+    for place in (7, "Inf"):
+        with pytest.raises(ValueError, match=f"not a bad place of .*: {place!r}"):
+            group.verdict_at(61, place)
+
+
 def test_solvable_local_classes_form_subgroup():
     for params in random_instances(seed=910, count=30, prime_bound=300, max_n=3):
         for kind in (ts.PHI, ts.PHI_HAT):
